@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
@@ -21,11 +22,15 @@ from convfib.identities import IDENTITY_NAMES, run_identity
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        handle = open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from exc
+    with handle:
+        handle.write(text)
 
 
 def _csv(header: str, rows: list[str]) -> str:
@@ -93,19 +98,23 @@ def _identity_overrides(args: argparse.Namespace) -> dict[str, Optional[int]]:
     }
 
 
-def _run_named(name: str, overrides: dict[str, Optional[int]]):
-    return run_identity(name, **overrides)
+def _worker_count(jobs: int, tasks: int) -> int:
+    """Processes worth starting: never more than tasks or cores."""
+    if jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
     overrides = _identity_overrides(args)
-    if args.jobs > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_named, name, overrides) for name in names]
+    workers = _worker_count(args.jobs, len(names))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(run_identity, name, **overrides) for name in names]
             reports = [f.result() for f in futures]
     else:
-        reports = [_run_named(name, overrides) for name in names]
+        reports = [run_identity(name, **overrides) for name in names]
     lines = [json.dumps(report.to_json_dict()) for report in reports]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0 if all(report.passed for report in reports) else 1
@@ -194,7 +203,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:
-        # out-of-domain bounds (negative sizes, too-short orders, ...)
+        # out-of-domain bounds (negative sizes, empty grids, too-short
+        # orders, ...) and an --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

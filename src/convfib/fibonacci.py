@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 
-from convfib.report import VerificationReport, failing, passing
+from convfib.report import VerificationReport, scan
 from convfib.series import Series
 
 
@@ -59,7 +59,7 @@ def fib(n: int) -> int:
 def fib_pure(n: int) -> int:
     """F_n computed iteratively with no shared state.
 
-    Intended for parallel workers that must not contend on the table.
+    A table-free reference that the tests set against :func:`fib`.
     """
     if n >= 0:
         a, b = 1, 1  # F_0, F_1
@@ -81,25 +81,18 @@ def fib_genfun_check(order: int) -> VerificationReport:
     """
     if order < 2:
         raise ValueError("the generating-function check needs order >= 2")
-    grid = {"order": order}
-    series = Series.from_polynomial((1, -1, -1), order).inverse()
-    coeffs = series.coefficients
-    cells = 0
-    for k, c in enumerate(coeffs):
-        cells += 1
-        expected = fib(k)
-        if c != expected:
-            params = {"k": k, "check": "coefficient"}
-            return failing("genfun", grid, cells, params, c, expected)
-    for k in range(order + 1):
-        cells += 1
-        if k == 0:
-            residue = coeffs[0] - 1
-        elif k == 1:
-            residue = coeffs[1] - coeffs[0]
-        else:
-            residue = coeffs[k] - coeffs[k - 1] - coeffs[k - 2]
-        if residue != 0:
-            params = {"k": k, "check": "recurrence"}
-            return failing("genfun", grid, cells, params, residue, 0)
-    return passing("genfun", grid, cells)
+    coeffs = Series.from_polynomial((1, -1, -1), order).inverse().coefficients
+
+    def cells():
+        for k, c in enumerate(coeffs):
+            yield {"k": k, "check": "coefficient"}, c, fib(k)
+        for k in range(order + 1):
+            if k == 0:
+                residue = coeffs[0] - 1
+            elif k == 1:
+                residue = coeffs[1] - coeffs[0]
+            else:
+                residue = coeffs[k] - coeffs[k - 1] - coeffs[k - 2]
+            yield {"k": k, "check": "recurrence"}, residue, 0
+
+    return scan("genfun", {"order": order}, cells())

@@ -4,9 +4,10 @@ Every verifier compares two independently computed sides over an explicit
 parameter grid, with exact equality and zero tolerance.  Right-hand sides
 that the statements give as nested sums are evaluated by literal recursive
 loops mirroring the summation structure, never by a shortcut, so each
-check really pits two different algorithms against each other.  Grids are
-scanned in lexicographic parameter order and the first failing cell is
-reported as the counterexample.
+check really pits two different algorithms against each other.  Each
+verifier yields its cells in lexicographic parameter order and
+:func:`convfib.report.scan` reports the first failing cell as the
+counterexample.
 """
 
 from __future__ import annotations
@@ -27,23 +28,23 @@ from convfib.convolved import (
 )
 from convfib.fibonacci import fib, fib_genfun_check
 from convfib.poly import Poly
-from convfib.report import VerificationReport, failing, passing
+from convfib.report import VerificationReport, scan
 from convfib.series import Series
 
 
 def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> VerificationReport:
     """p_n(x) = sum_l C(n,l) p_l(1) p_{n-l}(x-1) over the (n, x) grid."""
     xs = sorted(x_values)
-    grid = {"n_max": n_max, "x_values": xs}
-    cells = 0
-    for n in range(n_max + 1):
-        for x in xs:
-            cells += 1
-            lhs = conv_fib(n, x)
-            rhs = sum(comb(n, l) * conv_fib(l, 1) * conv_fib(n - l, x - 1) for l in range(n + 1))
-            if lhs != rhs:
-                return failing("prop1", grid, cells, {"n": n, "x": x}, lhs, rhs)
-    return passing("prop1", grid, cells)
+    cells = (
+        (
+            {"n": n, "x": x},
+            conv_fib(n, x),
+            sum(comb(n, l) * conv_fib(l, 1) * conv_fib(n - l, x - 1) for l in range(n + 1)),
+        )
+        for n in range(n_max + 1)
+        for x in xs
+    )
+    return scan("prop1", {"n_max": n_max, "x_values": xs}, cells)
 
 
 def _cor2_nested(n: int, levels: int) -> int:
@@ -57,18 +58,12 @@ def _cor2_nested(n: int, levels: int) -> int:
 
 def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
     """p_n(r) equals the (r-1)-fold nested binomial sum over p(1) values."""
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    grid = {"n_max": n_max, "r_max": r_max}
-    cells = 0
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            cells += 1
-            lhs = conv_fib(n, r)
-            rhs = _cor2_nested(n, r - 1)
-            if lhs != rhs:
-                return failing("cor2", grid, cells, {"n": n, "r": r}, lhs, rhs)
-    return passing("cor2", grid, cells)
+    cells = (
+        ({"n": n, "r": r}, conv_fib(n, r), _cor2_nested(n, r - 1))
+        for n in range(n_max + 1)
+        for r in range(1, r_max + 1)
+    )
+    return scan("cor2", {"n_max": n_max, "r_max": r_max}, cells)
 
 
 def verify_thm3(
@@ -76,57 +71,45 @@ def verify_thm3(
 ) -> VerificationReport:
     """p_n(x) = sum_l C(n,l) p_l(r) p_{n-l}(x-r), in both stated orderings."""
     xs = sorted(x_values)
-    grid = {"n_max": n_max, "r_max": r_max, "x_values": xs}
-    cells = 0
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            for x in xs:
-                cells += 1
-                lhs = conv_fib(n, x)
-                rhs_a = sum(
-                    comb(n, l) * conv_fib(l, r) * conv_fib(n - l, x - r) for l in range(n + 1)
-                )
-                rhs_b = sum(
-                    comb(n, l) * conv_fib(n - l, r) * conv_fib(l, x - r) for l in range(n + 1)
-                )
-                if lhs != rhs_a or lhs != rhs_b:
-                    rhs = rhs_a if lhs != rhs_a else rhs_b
-                    return failing("thm3", grid, cells, {"n": n, "r": r, "x": x}, lhs, rhs)
-    return passing("thm3", grid, cells)
+
+    def cells():
+        for n in range(n_max + 1):
+            for r in range(1, r_max + 1):
+                for x in xs:
+                    lhs = conv_fib(n, x)
+                    rhs_a = sum(
+                        comb(n, l) * conv_fib(l, r) * conv_fib(n - l, x - r) for l in range(n + 1)
+                    )
+                    rhs_b = sum(
+                        comb(n, l) * conv_fib(n - l, r) * conv_fib(l, x - r) for l in range(n + 1)
+                    )
+                    yield {"n": n, "r": r, "x": x}, lhs, rhs_a if lhs != rhs_a else rhs_b
+
+    return scan("thm3", {"n_max": n_max, "r_max": r_max, "x_values": xs}, cells())
 
 
 def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
     """p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l."""
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    grid = {"n_max": n_max, "r_max": r_max}
-    cells = 0
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            cells += 1
-            lhs = conv_fib(n, r + 1)
-            rhs = sum(
-                factorial_powers(n, l)[0] * conv_fib(n - l, r) * fib(l) for l in range(n + 1)
-            )
-            if lhs != rhs:
-                return failing("cor4", grid, cells, {"n": n, "r": r}, lhs, rhs)
-    return passing("cor4", grid, cells)
+    cells = (
+        (
+            {"n": n, "r": r},
+            conv_fib(n, r + 1),
+            sum(factorial_powers(n, l)[0] * conv_fib(n - l, r) * fib(l) for l in range(n + 1)),
+        )
+        for n in range(n_max + 1)
+        for r in range(1, r_max + 1)
+    )
+    return scan("cor4", {"n_max": n_max, "r_max": r_max}, cells)
 
 
 def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
     """p_n(r+1)/n! equals the r-fold nested Fibonacci convolution sum."""
-    if r_max < 1:
-        raise ValueError("r_max must be >= 1")
-    grid = {"n_max": n_max, "r_max": r_max}
-    cells = 0
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            cells += 1
-            lhs = conv_fib(n, r + 1)
-            rhs = conv_fib_by_nested_sum(n, r + 1)
-            if lhs != rhs:
-                return failing("thm5", grid, cells, {"n": n, "r": r}, lhs, rhs)
-    return passing("thm5", grid, cells)
+    cells = (
+        ({"n": n, "r": r}, conv_fib(n, r + 1), conv_fib_by_nested_sum(n, r + 1))
+        for n in range(n_max + 1)
+        for r in range(1, r_max + 1)
+    )
+    return scan("thm5", {"n_max": n_max, "r_max": r_max}, cells)
 
 
 def verify_thm6(
@@ -145,7 +128,6 @@ def verify_thm6(
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
-    grid = {"n_max": n_max, "order": order}
 
     base = base_series(order)
     gen = (-(base.log()).lift() * Poly.x()).exp()
@@ -155,25 +137,23 @@ def verify_thm6(
     for _ in range(n_max):
         inv_base_pows.append(inv_base_pows[-1] * base_inv)
 
-    cells = 0
-    lhs = gen
-    for n in range(n_max + 1):
-        if n:
-            lhs = lhs.derivative()
-        cells += 1
-        bracket = Series.zero(order).lift()
-        for i in range((n + 1) // 2 + 1):
-            scalar = triangle.entry(n, i) * rising_factorial_poly(n - i)
-            rational = (two_t ** (n - 2 * i)) * inv_base_pows[n - i]
-            bracket = bracket + rational * scalar
-        m = order - n
-        rhs = bracket.truncate(m) * gen.truncate(m)
-        if lhs != rhs:
-            for k in range(m + 1):
-                if lhs.coefficient(k) != rhs.coefficient(k):
-                    params = {"N": n, "t_power": k}
-                    return failing("thm6", grid, cells, params, lhs.coefficient(k), rhs.coefficient(k))
-    return passing("thm6", grid, cells)
+    def cells():
+        lhs = gen
+        for n in range(n_max + 1):
+            if n:
+                lhs = lhs.derivative()
+            bracket = Series.zero(order).lift()
+            for i in range((n + 1) // 2 + 1):
+                scalar = triangle.entry(n, i) * rising_factorial_poly(n - i)
+                rational = (two_t ** (n - 2 * i)) * inv_base_pows[n - i]
+                bracket = bracket + rational * scalar
+            m = order - n
+            rhs = bracket.truncate(m) * gen.truncate(m)
+            # one cell per N; a mismatch is reported at its lowest power of t
+            k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
+            yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
+
+    return scan("thm6", {"n_max": n_max, "order": order}, cells())
 
 
 def verify_thm7(
@@ -186,25 +166,23 @@ def verify_thm7(
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
     xs = sorted(x_values)
-    grid = {"k_max": k_max, "n_max": n_max, "x_values": xs}
-    cells = 0
-    for k in range(k_max + 1):
-        for n in range(n_max + 1):
-            for x in xs:
-                cells += 1
-                lhs = conv_fib(k + n, x)
-                rhs = 0
-                for i in range((n + 1) // 2 + 1):
-                    a = triangle.entry(n, i)
-                    rising = factorial_powers(x, n - i)[1]
-                    for l in range(k + 1):
-                        falling = factorial_powers(n - 2 * i, l)[0]
-                        rhs += (
-                            comb(k, l) * falling * 2**l * a * rising * conv_fib(k - l, x + n - i)
-                        )
-                if lhs != rhs:
-                    return failing("thm7", grid, cells, {"k": k, "N": n, "x": x}, lhs, rhs)
-    return passing("thm7", grid, cells)
+
+    def cells():
+        for k in range(k_max + 1):
+            for n in range(n_max + 1):
+                for x in xs:
+                    lhs = conv_fib(k + n, x)
+                    rhs = 0
+                    for i in range((n + 1) // 2 + 1):
+                        a = triangle.entry(n, i)
+                        rising = factorial_powers(x, n - i)[1]
+                        for l in range(k + 1):
+                            falling = factorial_powers(n - 2 * i, l)[0]
+                            term = comb(k, l) * falling * 2**l * a * rising
+                            rhs += term * conv_fib(k - l, x + n - i)
+                    yield {"k": k, "N": n, "x": x}, lhs, rhs
+
+    return scan("thm7", {"k_max": k_max, "n_max": n_max, "x_values": xs}, cells())
 
 
 def verify_cor8(
@@ -221,22 +199,15 @@ def verify_cor8(
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
     xs = sorted(x_values)
-    grid = {"n_max": n_max, "x_values": xs}
-    cells = 0
-    for n in range(n_max + 1):
-        poly = conv_fib_poly(n, triangle)
-        cells += 1
-        oracle = conv_fib_poly_oracle(n, n)
-        if poly.monomial != oracle:
-            params = {"N": n, "check": "polynomial"}
-            return failing("cor8", grid, cells, params, poly.monomial, oracle)
-        for x in xs:
-            cells += 1
-            lhs = poly.evaluate(x)
-            rhs = conv_fib(n, x)
-            if lhs != rhs:
-                return failing("cor8", grid, cells, {"N": n, "x": x}, lhs, rhs)
-    return passing("cor8", grid, cells)
+
+    def cells():
+        for n in range(n_max + 1):
+            poly = conv_fib_poly(n, triangle)
+            yield {"N": n, "check": "polynomial"}, poly.monomial, conv_fib_poly_oracle(n, n)
+            for x in xs:
+                yield {"N": n, "x": x}, poly.evaluate(x), conv_fib(n, x)
+
+    return scan("cor8", {"n_max": n_max, "x_values": xs}, cells())
 
 
 def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> VerificationReport:
@@ -248,55 +219,43 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
     """
     if triangle is None:
         triangle = CoeffTriangle.from_closed_form(n_max)
-    grid = {"n_max": n_max}
-    cells = 0
-    for n in range(n_max + 1):
-        row = triangle.row(n)
-        cells += 1
-        lhs = factorial(n) * (fib(n) - 1)
-        rhs = sum(a * factorial(n - i) for i, a in enumerate(row) if i >= 1)
-        if lhs != rhs:
-            params = {"N": n, "check": "fib-minus-one"}
-            return failing("cor9", grid, cells, params, lhs, rhs)
-        cells += 1
-        lhs = conv_fib(n, 1)
-        rhs = sum(a * factorial(n - i) for i, a in enumerate(row))
-        if lhs != rhs:
-            params = {"N": n, "check": "value-at-one"}
-            return failing("cor9", grid, cells, params, lhs, rhs)
-    return passing("cor9", grid, cells)
+
+    def cells():
+        for n in range(n_max + 1):
+            row = triangle.row(n)
+            yield (
+                {"N": n, "check": "fib-minus-one"},
+                factorial(n) * (fib(n) - 1),
+                sum(a * factorial(n - i) for i, a in enumerate(row) if i >= 1),
+            )
+            yield (
+                {"N": n, "check": "value-at-one"},
+                conv_fib(n, 1),
+                sum(a * factorial(n - i) for i, a in enumerate(row)),
+            )
+
+    return scan("cor9", {"n_max": n_max}, cells())
 
 
 # -- uniform runner -----------------------------------------------------------
 
-IDENTITY_NAMES = (
-    "genfun",
-    "prop1",
-    "cor2",
-    "thm3",
-    "cor4",
-    "thm5",
-    "thm6",
-    "thm7",
-    "cor8",
-    "cor9",
-)
-
-# Identities whose main bound is the triangle row / derivative order N.
-_BIG_N_IDENTITIES = frozenset({"thm6", "thm7", "cor8", "cor9"})
-
-_DEFAULTS: dict[str, dict[str, int]] = {
-    "genfun": {"order": 200},
-    "prop1": {"n_max": 50, "x_min": -3, "x_max": 8},
-    "cor2": {"n_max": 20, "r_max": 4},
-    "thm3": {"n_max": 40, "r_max": 6, "x_min": -2, "x_max": 8},
-    "cor4": {"n_max": 60, "r_max": 6},
-    "thm5": {"n_max": 25, "r_max": 4},
-    "thm6": {"n_max": 10, "order": 30},
-    "thm7": {"k_max": 20, "n_max": 8, "x_min": 1, "x_max": 5},
-    "cor8": {"n_max": 40, "x_min": -5, "x_max": 10},
-    "cor9": {"n_max": 50},
+# name -> (default grid, whether the main bound is the triangle row /
+# derivative order N rather than the series index n).  Order is the
+# order of `verify all`.
+_REGISTRY: dict[str, tuple[dict[str, int], bool]] = {
+    "genfun": ({"order": 200}, False),
+    "prop1": ({"n_max": 50, "x_min": -3, "x_max": 8}, False),
+    "cor2": ({"n_max": 20, "r_max": 4}, False),
+    "thm3": ({"n_max": 40, "r_max": 6, "x_min": -2, "x_max": 8}, False),
+    "cor4": ({"n_max": 60, "r_max": 6}, False),
+    "thm5": ({"n_max": 25, "r_max": 4}, False),
+    "thm6": ({"n_max": 10, "order": 30}, True),
+    "thm7": ({"k_max": 20, "n_max": 8, "x_min": 1, "x_max": 5}, True),
+    "cor8": ({"n_max": 40, "x_min": -5, "x_max": 10}, True),
+    "cor9": ({"n_max": 50}, True),
 }
+
+IDENTITY_NAMES = tuple(_REGISTRY)
 
 
 def run_identity(
@@ -314,37 +273,26 @@ def run_identity(
 
     ``big_n_max`` overrides the row/derivative bound of the identities
     indexed by N; ``n_max`` overrides the series-index bound of the rest.
-    Overrides that an identity does not use are ignored.
+    Overrides that an identity does not use are ignored.  An inverted
+    x range raises ``ValueError``.
     """
-    if name not in _DEFAULTS:
+    if name not in _REGISTRY:
         raise KeyError(f"unknown identity {name!r} (choose from {', '.join(IDENTITY_NAMES)})")
-    params = dict(_DEFAULTS[name])
-    main_bound = big_n_max if name in _BIG_N_IDENTITIES else n_max
+    defaults, big_n = _REGISTRY[name]
     overrides = {
-        "n_max": main_bound,
+        "n_max": big_n_max if big_n else n_max,
         "k_max": k_max,
         "r_max": r_max,
         "order": order,
         "x_min": x_min,
         "x_max": x_max,
     }
-    for key, value in overrides.items():
-        if value is not None and key in params:
-            params[key] = value
+    params = {key: defaults[key] if overrides[key] is None else overrides[key] for key in defaults}
     if "x_min" in params:
-        x_values = range(params.pop("x_min"), params.pop("x_max") + 1)
-        params["x_values"] = x_values
-    if name == "genfun":
-        return fib_genfun_check(params["order"])
-    runner = {
-        "prop1": verify_prop1,
-        "cor2": verify_cor2,
-        "thm3": verify_thm3,
-        "cor4": verify_cor4,
-        "thm5": verify_thm5,
-        "thm6": verify_thm6,
-        "thm7": verify_thm7,
-        "cor8": verify_cor8,
-        "cor9": verify_cor9,
-    }[name]
-    return runner(**params)
+        lo, hi = params.pop("x_min"), params.pop("x_max")
+        if lo > hi:
+            raise ValueError(f"x_min {lo} exceeds x_max {hi}")
+        params["x_values"] = range(lo, hi + 1)
+    # Looked up at call time, so a rebound module global is the one called.
+    verifier = globals()["fib_genfun_check" if name == "genfun" else f"verify_{name}"]
+    return verifier(**params)

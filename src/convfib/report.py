@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,22 @@ class VerificationReport:
         }
 
 
-def passing(identity: str, grid: dict[str, Any], cells: int) -> VerificationReport:
-    return VerificationReport(identity, grid, cells, "pass")
-
-
-def failing(
-    identity: str,
-    grid: dict[str, Any],
-    cells: int,
-    params: dict[str, Any],
-    lhs: object,
-    rhs: object,
+def scan(
+    identity: str, grid: dict[str, Any], cells: Iterable[tuple[dict[str, Any], object, object]]
 ) -> VerificationReport:
-    counterexample = {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
-    return VerificationReport(identity, grid, cells, "fail", counterexample)
+    """Turn a grid scan into a report.
+
+    ``cells`` yields ``(params, lhs, rhs)`` in lexicographic parameter
+    order; the scan stops at the first cell whose sides differ and reports
+    it as the counterexample.  A grid that yields no cell raises
+    ``ValueError``, so a pass always means that something was checked.
+    """
+    count = 0
+    for params, lhs, rhs in cells:
+        count += 1
+        if lhs != rhs:
+            counterexample = {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
+            return VerificationReport(identity, grid, count, "fail", counterexample)
+    if not count:
+        raise ValueError(f"{identity}: the grid {grid} has no cells to check")
+    return VerificationReport(identity, grid, count, "pass")

@@ -4,12 +4,21 @@ determinism, and lossless round-trips of every emitted number."""
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from convfib import cli
 from convfib.report import VerificationReport
-from convfib.serialize import int_from_str, rational_from_str
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def round_trips(text: str, pattern: str, kind: type) -> bool:
+    """``text`` is a plain decimal (or num/den) string that parses back to itself."""
+    return re.fullmatch(pattern, text) is not None and str(kind(text)) == text
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -121,12 +130,41 @@ class TestVerify:
         assert code == 2
 
     def test_full_default_suite_passes(self, capsys):
-        """`verify all` with no overrides is the complete default-grid run."""
+        """`verify all` with no overrides is the complete default-grid run;
+        its output is pinned byte for byte."""
         code, out = run_cli(capsys, "verify", "all")
         assert code == 0
-        docs = [json.loads(line) for line in out.splitlines()]
-        assert len(docs) == len(cli.IDENTITY_NAMES)
-        assert all(d["status"] == "pass" for d in docs)
+        assert out.encode() == (GOLDEN / "verify_all.ndjson").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "cor8", "--x-min", "3", "--x-max", "2"),
+            ("verify", "prop1", "--x-min", "5", "--x-max", "1"),
+            ("verify", "thm7", "--k-max", "-1"),
+            ("verify", "thm3", "--r-max", "0"),
+            ("verify", "genfun", "--order", "10", "--jobs", "0"),
+        ],
+    )
+    def test_empty_grid_or_bad_jobs_is_usage_error(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code = cli.main(["verify", "genfun", "--order", "10", "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not target.exists()
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        assert cli._worker_count(3, 10) == 3
+        assert cli._worker_count(8, 10) == 4
+        assert cli._worker_count(8, 1) == 1
+        with pytest.raises(ValueError):
+            cli._worker_count(0, 10)
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         broken = VerificationReport(
@@ -169,17 +207,17 @@ class TestRoundTrip:
         _, out = run_cli(capsys, "fib", "--from", "0", "--to", "120")
         for line in out.splitlines()[1:]:
             n, value = line.split(",")
-            assert str(int_from_str(value)) == value
+            assert round_trips(value, r"-?\d+", int)
             assert int(n) <= 120
 
     def test_poly_json_values_round_trip(self, capsys):
         _, out = run_cli(capsys, "table", "--mode", "poly", "--n", "9")
         doc = json.loads(out)
         for text in doc["rising"] + doc["monomial"]:
-            assert str(rational_from_str(text)) == text
+            assert round_trips(text, r"-?\d+(/\d+)?", Fraction)
 
     def test_triangle_csv_values_round_trip(self, capsys):
         _, out = run_cli(capsys, "table", "--mode", "triangle", "--n-max", "20")
         for line in out.splitlines()[1:]:
             _, _, a = line.split(",")
-            assert str(int_from_str(a)) == a
+            assert round_trips(a, r"-?\d+", int)

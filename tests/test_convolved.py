@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convfib.convolved import (
     CoeffTriangle,
@@ -94,6 +96,32 @@ class TestThreeAlgorithms:
     def test_recurrence_needs_positive_argument(self):
         with pytest.raises(ValueError):
             conv_fib_row_by_recurrence(0, 3)
+
+
+def finite_power_row(m: int, n_max: int) -> list[int]:
+    """n! [t^n] (1 - t - t^2)**m for n <= n_max, by plain list products."""
+    coeffs = [1]
+    for _ in range(m):
+        padded = coeffs + [0, 0]  # index -1 and -2 read these zeros: no t^-1, t^-2 terms
+        coeffs = [padded[j] - padded[j - 1] - padded[j - 2] for j in range(len(padded))]
+    coeffs += [0] * (n_max + 1)
+    return [factorial(n) * coeffs[n] for n in range(n_max + 1)]
+
+
+class TestRandomizedAgreement:
+    """Differential checks of the p_n(r) algorithms on random small (n, r)."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(0, 14), r=st.integers(1, 5))
+    def test_positive_argument_algorithms_agree(self, n, r):
+        row = conv_fib_row(r, n)
+        assert conv_fib_row_by_recurrence(r, n) == row
+        assert conv_fib_by_nested_sum(n, r) == row[n]
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(0, 20), r=st.integers(-8, 0))
+    def test_nonpositive_argument_is_finite_expansion(self, n, r):
+        assert conv_fib_row(r, n) == finite_power_row(-r, n)
 
 
 class TestFactorialPowers:

@@ -14,14 +14,6 @@ from fractions import Fraction
 import pytest
 
 from convfib.poly import Poly
-from convfib.serialize import (
-    int_from_str,
-    int_to_str,
-    rational_from_str,
-    rational_to_str,
-    series_from_strings,
-    series_to_strings,
-)
 from convfib.series import BadConstantTerm, NonInvertibleConstantTerm, Series
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
@@ -291,30 +283,6 @@ class TestPolyCoefficients:
         poly = rational.lift()
         assert (rational + poly).is_poly_ring()
         assert rational + poly == rational * 2
-
-
-class TestSerialization:
-    def test_integer_strings(self):
-        big = 10**40 + 7
-        assert int_from_str(int_to_str(big)) == big
-        with pytest.raises(ValueError):
-            int_from_str("12.5")
-
-    def test_rational_strings_elide_unit_denominator(self):
-        assert rational_to_str(Fraction(3)) == "3"
-        assert rational_to_str(Fraction(-4, 6)) == "-2/3"
-        assert rational_from_str("-2/3") == Fraction(-2, 3)
-        with pytest.raises(ValueError):
-            rational_from_str("1.5")
-
-    def test_series_round_trip(self):
-        rng = random.Random(37)
-        a = rand_series(rng, 9)
-        assert series_from_strings(series_to_strings(a)) == a
-
-    def test_poly_ring_series_has_no_string_form(self):
-        with pytest.raises(TypeError):
-            series_to_strings(Series.one(3).lift())
 
 
 class TestConstruction:
