@@ -1,7 +1,8 @@
 """Command-line surface: sequence tables, identity verification, benchmarks.
 
 Exit codes: 0 when everything passed, 1 when a verifier or benchmark
-cross-check reported a genuine failure, 2 for malformed usage.  All big
+cross-check reported a genuine failure, 2 for malformed usage, 3 when the
+program itself failed (an internal error, never a disagreement).  All big
 numbers are emitted as decimal strings; CSV output uses a header row, LF
 line endings and no quoting.
 """
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
@@ -21,15 +23,30 @@ from convfib.fibonacci import fib
 from convfib.identities import IDENTITY_NAMES, run_identity
 
 
+def _open_out(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out: {exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Fail before any work when --out cannot be opened for writing.
+
+    Opening for append leaves an existing file as it is until the command
+    writes its output; a file created only for the check is removed again.
+    """
+    existed = os.path.lexists(path)
+    _open_out(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _emit(text: str, out_path: Optional[str]) -> None:
     if not out_path:
         sys.stdout.write(text)
         return
-    try:
-        handle = open(out_path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ValueError(f"cannot write --out: {exc}") from exc
-    with handle:
+    with _open_out(out_path, "w") as handle:
         handle.write(text)
 
 
@@ -121,6 +138,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if any(n < 0 for n in args.sizes):
+        raise ValueError(f"--sizes must be >= 0, got {min(args.sizes)}")
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     triangle_max = None if args.skip_triangle else args.triangle_max
     try:
         rows = bench_mod.run_bench(
@@ -201,12 +222,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except ValueError as exc:
         # out-of-domain bounds (negative sizes, empty grids, too-short
         # orders, ...) and an --out path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash must not read as a disagreement (exit 1)
+        traceback.print_exc()
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

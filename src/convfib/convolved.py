@@ -154,14 +154,24 @@ def factorial_powers(n: int, l: int) -> tuple[int, int]:
     return falling, rising
 
 
+_rising: list[Poly] = [Poly.one()]
+_rising_lock = threading.Lock()
+
+
 def rising_factorial_poly(k: int) -> Poly:
-    """<x>_k = x(x+1)...(x+k-1) as a polynomial; <x>_0 = 1."""
+    """<x>_k = x(x+1)...(x+k-1) as a polynomial; <x>_0 = 1.
+
+    Served from one table shared by every caller, extended on demand by
+    <x>_{j+1} = <x>_j * (x + j).
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    out = Poly.one()
-    for j in range(k):
-        out = out * Poly((j, 1))
-    return out
+    if k >= len(_rising):
+        with _rising_lock:
+            while len(_rising) <= k:
+                j = len(_rising) - 1
+                _rising.append(_rising[j] * Poly((j, 1)))
+    return _rising[k]
 
 
 # -- the coefficient triangle -------------------------------------------------

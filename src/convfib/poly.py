@@ -1,28 +1,91 @@
 """Dense univariate polynomials over exact rationals.
 
-The indeterminate is written ``x`` throughout.  Coefficients are stored in
-the monomial basis, lowest power first, with no trailing zeros; the zero
-polynomial stores no coefficients and reports degree -1.
+The indeterminate is written ``x`` throughout.  A polynomial is stored as
+integer numerators in the monomial basis, lowest power first, over one
+positive common denominator, in canonical form: no trailing zero
+numerators and gcd(denominator, *numerators) == 1.  The zero polynomial
+stores no numerators over denominator 1 and reports degree -1.  Sums and
+products run on plain integers and are reduced once per result; the
+Fraction coefficients are built on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from operator import add
+from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value: Scalar) -> tuple[int, int]:
+    """(numerator, positive denominator) of an int or Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _trimmed(nums: list[int]) -> tuple[int, ...]:
+    while nums and not nums[-1]:
+        nums.pop()
+    return tuple(nums)
+
+
+def _make(nums: tuple[int, ...], den: int) -> Poly:
+    """Wrap numerators and a denominator that are already canonical."""
+    p = object.__new__(Poly)
+    p._nums = nums
+    p._den = den
+    p._coeffs = None
+    return p
+
+
+def _reduced(nums: list[int], den: int) -> Poly:
+    """The canonical Poly equal to nums/den, for den > 0: one content gcd."""
+    trimmed = _trimmed(nums)
+    if not trimmed:
+        return _make((), 1)
+    if den != 1:
+        g = gcd(den, *trimmed)
+        if g != 1:
+            trimmed = tuple(n // g for n in trimmed)
+            den //= g
+    return _make(trimmed, den)
+
+
+def _sum(a: Poly, b: Poly) -> Poly:
+    """a + b over the lcm of the two denominators."""
+    an, bn, den = a._nums, b._nums, a._den
+    if den != b._den:
+        g = gcd(den, b._den)
+        sa, sb = b._den // g, den // g
+        an = [n * sa for n in an]
+        bn = [n * sb for n in bn]
+        den *= sa
+    if len(an) < len(bn):
+        an, bn = bn, an
+    out = list(map(add, an, bn))
+    out.extend(an[len(bn):])
+    return _reduced(out, den)
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Schoolbook product of two integer coefficient sequences."""
+    if not a or not b:
+        return []
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
 class Poly:
-    """Immutable polynomial in x with Fraction coefficients.
+    """Immutable polynomial in x with rational coefficients.
 
     >>> p = Poly([0, 3, 1])     # x^2 + 3x
     >>> p.evaluate(1)
@@ -31,13 +94,22 @@ class Poly:
     2
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den", "_coeffs")
+
+    _nums: tuple[int, ...]
+    _den: int
+    _coeffs: Optional[tuple[Fraction, ...]]
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [_as_fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "_coeffs", tuple(coeffs))
+        pairs = [_ratio(c) for c in coefficients]
+        den = lcm(*(d for _, d in pairs))
+        # Over the lcm of reduced denominators the content is already 1.
+        self._nums = _trimmed([n * (den // d) for n, d in pairs])
+        self._den = den if self._nums else 1
+        self._coeffs = None
+
+    def __reduce__(self):
+        return _make, (self._nums, self._den)
 
     # -- constructors -------------------------------------------------
 
@@ -62,30 +134,32 @@ class Poly:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """Monomial coefficients, lowest power first, trailing zeros trimmed."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(n, self._den) for n in self._nums)
         return self._coeffs
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
+        return len(self._nums) - 1
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of x**k (zero beyond the degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+        if 0 <= k < len(self._nums):
+            return Fraction(self._nums[k], self._den)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._nums) <= 1
 
     def constant_value(self) -> Fraction:
         """The value of a degree <= 0 polynomial."""
         if not self.is_constant():
             raise ValueError(f"{self!r} is not constant")
-        return self._coeffs[0] if self._coeffs else Fraction(0)
+        return self.coefficient(0)
 
     # -- ring operations ----------------------------------------------
 
@@ -94,46 +168,30 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
+        return _sum(self, other)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly([-c for c in self._coeffs])
+        return _make(tuple(-n for n in self._nums), self._den)
 
     def __sub__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, -other)
 
     def __rsub__(self, other: Scalar) -> Poly:
-        return Poly.constant(other) + (-self)
+        return _sum(Poly.constant(other), -self)
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly.zero()
-            return Poly([c * other for c in self._coeffs])
+            num = other.numerator
+            return _reduced([n * num for n in self._nums], self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+        return _reduced(_product(self._nums, other._nums), self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -142,7 +200,10 @@ class Poly:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return Poly([c / other for c in self._coeffs])
+        num, den = other.numerator, other.denominator
+        if num < 0:
+            num, den = -num, -den
+        return _reduced([n * den for n in self._nums], self._den * num)
 
     # -- comparison / display -------------------------------------------
 
@@ -151,23 +212,24 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._nums, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __repr__(self) -> str:
-        return f"Poly({[str(c) for c in self._coeffs]})"
+        return f"Poly({[str(c) for c in self.coefficients]})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        coeffs = self.coefficients
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -185,11 +247,20 @@ class Poly:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Evaluate at a rational point by the Horner scheme."""
-        value = _as_fraction(point)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * value + c
-        return acc
+        """Evaluate at a rational point p/q.
+
+        Horner's scheme on the integer numerators gives
+        sum_k n_k p**k q**(degree - k); one Fraction divides it by
+        den * q**degree at the end.
+        """
+        p, q = _ratio(point)
+        if not self._nums:
+            return Fraction(0)
+        acc = 0
+        scale = 1  # q ** (degree - k) for the numerator n_k in hand
+        for n in reversed(self._nums):
+            acc = acc * p + n * scale
+            scale *= q
+        return Fraction(acc, self._den * q ** self.degree)
 
     __call__ = evaluate

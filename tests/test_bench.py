@@ -71,6 +71,17 @@ class TestCliBench:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--sizes", "-1"], "--sizes"), (["--sizes", "5", "--repeats", "0"], "--repeats")],
+    )
+    def test_bad_sizes_or_repeats_is_usage_error(self, capsys, flags, named):
+        code = cli.main(["bench", *flags, "--r", "2", "--skip-triangle"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} must be ")
+
     def test_deterministic_modulo_timing_column(self, capsys):
         argv = ["bench", "--sizes", "4,6", "--r", "2", "--triangle-max", "8",
                 "--min-time-ms", "1", "--repeats", "1"]

@@ -158,6 +158,37 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("error: ")
         assert not target.exists()
 
+    def test_out_is_checked_before_any_work(self, capsys, monkeypatch, tmp_path):
+        def never(name, **kw):
+            raise AssertionError("a verifier ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_identity", never)
+        code = cli.main(["verify", "all", "--out", str(tmp_path / "missing" / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write --out: ")
+
+    def test_out_is_untouched_by_a_usage_error(self, capsys, tmp_path):
+        kept = tmp_path / "kept.ndjson"
+        kept.write_text("earlier output\n")
+        fresh = tmp_path / "fresh.ndjson"
+        for target in (kept, fresh):
+            code = cli.main(["verify", "prop1", "--x-min", "5", "--x-max", "1", "--out", str(target)])
+            assert code == 2
+        capsys.readouterr()
+        assert kept.read_text() == "earlier output\n"
+        assert not fresh.exists()
+
+    def test_crash_exits_three(self, capsys, monkeypatch):
+        def crash(name, **kw):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_identity", crash)
+        code = cli.main(["verify", "cor2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "error: internal: RuntimeError: boom"
+
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert cli._worker_count(3, 10) == 3

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convfib import convolved
 from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
@@ -300,3 +304,28 @@ class TestRisingFactorialPoly:
             poly = rising_factorial_poly(k)
             for n in range(-4, 7):
                 assert poly.evaluate(n) == factorial_powers(n, k)[1]
+
+    def test_shared_table_is_consistent_under_threads(self, monkeypatch):
+        """Threads extending one fresh table at once: no entry lost or doubled."""
+        monkeypatch.setattr(convolved, "_rising", [Poly.one()])
+        threads = 8
+        start = threading.Barrier(threads)
+
+        def worker(seed: int) -> list[tuple[int, Poly]]:
+            ks = list(range(41))
+            random.Random(seed).shuffle(ks)
+            start.wait(timeout=60)
+            return [(k, rising_factorial_poly(k)) for k in ks]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(worker, range(threads), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == threads
+        for k, poly in (pair for chunk in results for pair in chunk):
+            assert poly.degree == k
+            assert poly.evaluate(3) == factorial_powers(3, k)[1]
+        assert [p.degree for p in convolved._rising] == list(range(41))

@@ -2,12 +2,54 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convfib.poly import Poly
+
+# Small rationals, zero and negative ones included, with a few wide integers
+# so that numerators and common denominators grow past one machine word.
+RATIONALS = st.one_of(
+    st.fractions(min_value=-12, max_value=12, max_denominator=12),
+    st.integers(-(2**80), 2**80).map(Fraction),
+)
+COEFFS = st.lists(RATIONALS, max_size=7)
+
+
+def ref_trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def ref_add(a: list[Fraction], b: list[Fraction]) -> tuple[Fraction, ...]:
+    width = max(len(a), len(b))
+    padded = [list(c) + [Fraction(0)] * (width - len(c)) for c in (a, b)]
+    return ref_trim([x + y for x, y in zip(*padded)])
+
+
+def ref_mul(a: list[Fraction], b: list[Fraction]) -> tuple[Fraction, ...]:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return ref_trim(out)
+
+
+def assert_canonical(p: Poly) -> None:
+    """Integer numerators, no trailing zero, positive denominator, content 1."""
+    nums, den = p._nums, p._den
+    assert all(type(n) is int for n in nums)
+    assert den >= 1
+    assert not nums or nums[-1] != 0
+    assert gcd(den, *nums) == 1
 
 
 class TestConstruction:
@@ -67,6 +109,69 @@ class TestArithmetic:
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+class TestRandomizedAgainstFractionLists:
+    """Poly on integer numerators against plain list[Fraction] arithmetic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=COEFFS, b=COEFFS)
+    def test_add_sub_mul(self, a, b):
+        p, q = Poly(a), Poly(b)
+        neg_b = [-c for c in b]
+        for result, expected in (
+            (p + q, ref_add(a, b)),
+            (p - q, ref_add(a, neg_b)),
+            (-q, ref_trim(neg_b)),
+            (p * q, ref_mul(a, b)),
+        ):
+            assert result.coefficients == expected
+            assert_canonical(result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=COEFFS, s=RATIONALS)
+    def test_scalar_mul_div_and_evaluate(self, a, s):
+        p = Poly(a)
+        scaled = ref_trim([c * s for c in a])
+        assert (p * s).coefficients == (s * p).coefficients == scaled
+        assert (p + s).coefficients == ref_add(a, [s])
+        if s:
+            assert (p / s).coefficients == ref_trim([c / s for c in a])
+            assert_canonical(p / s)
+        assert p.evaluate(s) == p(s) == sum((c * s**k for k, c in enumerate(a)), Fraction(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=COEFFS, b=COEFFS, c=COEFFS, s=RATIONALS.filter(bool))
+    def test_equal_polynomials_have_one_form(self, a, b, c, s):
+        """Equal values reached by different routes compare, hash and print alike."""
+        pa, pb, pc = Poly(a), Poly(b), Poly(c)
+        for left, right in (
+            ((pa + pb) * pc, pa * pc + pb * pc),
+            ((pa * s) / s, pa),
+            (pa - pa, Poly.zero()),
+        ):
+            assert_canonical(left)
+            assert left == right
+            assert hash(left) == hash(right)
+            assert left.coefficients == right.coefficients
+            assert str(left) == str(right)
+
+    def test_reduced_fraction_inputs_are_one_polynomial(self):
+        assert Poly([Fraction(2, 4)]) == Poly([Fraction(1, 2)])
+        assert hash(Poly([Fraction(2, 4), 3])) == hash(Poly([Fraction(1, 2), 3]))
+        assert Poly([Fraction(1, 2), Fraction(1, 2)]) * 2 == Poly([1, 1])
+        assert Poly([Fraction(1, 3), Fraction(2, 3)]) + Poly([Fraction(2, 3), Fraction(1, 3)]) == Poly([1, 1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=COEFFS)
+    def test_pickle_round_trip(self, a):
+        p = Poly(a)
+        for _ in range(2):  # before and after the Fraction coefficients are cached
+            clone = pickle.loads(pickle.dumps(p))
+            assert clone == p
+            assert hash(clone) == hash(p)
+            assert clone.coefficients == p.coefficients
+            assert_canonical(clone)
 
 
 class TestEvaluation:

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convfib.poly import Poly
 from convfib.series import BadConstantTerm, NonInvertibleConstantTerm, Series
@@ -283,6 +285,43 @@ class TestPolyCoefficients:
         poly = rational.lift()
         assert (rational + poly).is_poly_ring()
         assert rational + poly == rational * 2
+
+
+ORDER = 5
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+RING_ELEMENTS = {
+    "Q": RATIONALS,
+    "Q[x]": st.lists(RATIONALS, max_size=3).map(Poly),
+}
+
+
+@st.composite
+def series(draw, ring: str, constant=None) -> Series:
+    """A random order-ORDER series over ``ring``, optionally with a fixed t^0 term."""
+    coeffs = draw(st.lists(RING_ELEMENTS[ring], min_size=ORDER + 1, max_size=ORDER + 1))
+    if constant is not None:
+        coeffs[0] = draw(constant)
+    return Series(coeffs)
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q[x]"])
+class TestRandomizedRingLaws:
+    """Ring laws of the series ring over Q and over Q[x], on random series."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_associative_and_distributive(self, ring, data):
+        a, b, c = (data.draw(series(ring)) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_inverse_and_log_exp_round_trip(self, ring, data):
+        s = data.draw(series(ring, constant=RATIONALS.filter(bool)))
+        assert s * s.inverse() == Series.one(ORDER)
+        unit = data.draw(series(ring, constant=st.just(1)))
+        assert unit.log().exp() == unit
 
 
 class TestConstruction:
