@@ -10,6 +10,7 @@ line endings and no quoting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -142,6 +143,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError(f"--sizes must be >= 0, got {min(args.sizes)}")
     if args.repeats < 1:
         raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.r < 1:
+        raise ValueError(f"--r must be >= 1, got {args.r}")
+    if args.triangle_max < 0:
+        raise ValueError(f"--triangle-max must be >= 0, got {args.triangle_max}")
     triangle_max = None if args.skip_triangle else args.triangle_max
     try:
         rows = bench_mod.run_bench(
@@ -168,7 +173,9 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves it unchanged, and a build leaves cyclic garbage."""
     parser = argparse.ArgumentParser(
         prog="convfib",
         description="Exact tables and machine-checked identities for convolved Fibonacci numbers.",

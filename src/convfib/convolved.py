@@ -154,24 +154,17 @@ def factorial_powers(n: int, l: int) -> tuple[int, int]:
     return falling, rising
 
 
-_rising: list[Poly] = [Poly.one()]
-_rising_lock = threading.Lock()
-
-
 def rising_factorial_poly(k: int) -> Poly:
     """<x>_k = x(x+1)...(x+k-1) as a polynomial; <x>_0 = 1.
 
-    Served from one table shared by every caller, extended on demand by
-    <x>_{j+1} = <x>_j * (x + j).
+    The plain product of the k factors (x + j), built afresh on each call.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k >= len(_rising):
-        with _rising_lock:
-            while len(_rising) <= k:
-                j = len(_rising) - 1
-                _rising.append(_rising[j] * Poly((j, 1)))
-    return _rising[k]
+    out = Poly.one()
+    for j in range(k):
+        out = out * Poly((j, 1))
+    return out
 
 
 # -- the coefficient triangle -------------------------------------------------
@@ -309,16 +302,19 @@ class RisingFactorialPoly:
 
 
 def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactorialPoly:
-    """p_N(x) = sum_i a_i(N) <x>_{N-i}, expanded to the monomial basis."""
+    """p_N(x) = sum_i a_i(N) <x>_{N-i}, expanded to the monomial basis by Horner's
+    rule c_0 + x(c_1 + (x+1)(c_2 + ... + (x+N-1) c_N)), c_{N-i} = a_i(N), else 0.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n)
     rising = triangle.row(n)
-    monomial = Poly.zero()
-    for i, a in enumerate(rising):
-        if a:
-            monomial = monomial + a * rising_factorial_poly(n - i)
+    monomial = Poly.constant(rising[0])
+    for m in range(n - 1, -1, -1):
+        monomial = Poly((m, 1)) * monomial
+        if n - m < len(rising):
+            monomial = monomial + rising[n - m]
     return RisingFactorialPoly(n, rising, monomial)
 
 

@@ -51,6 +51,16 @@ def _coerce(values: Iterable[CoeffLike]) -> tuple[Coeff, ...]:
     return tuple(out)
 
 
+def _dot(support: list[tuple[int, Coeff]], seq: Sequence[Coeff], n: int, zero: Coeff) -> Coeff:
+    """Sum of c * seq[n - k] over the (k, c) of ``support``, ascending in k, with k <= n."""
+    acc = zero
+    for k, c in support:
+        if k > n:
+            break
+        acc = acc + c * seq[n - k]
+    return acc
+
+
 class Series:
     """Immutable truncated power series in t.
 
@@ -185,15 +195,7 @@ class Series:
         # Cauchy product; iterate only over the sparser factor's support.
         support = [(k, c) for k, c in enumerate(a._coeffs[: order + 1]) if c]
         zero = a._zero_coeff()
-        out = []
-        for n in range(order + 1):
-            acc = zero
-            for k, c in support:
-                if k > n:
-                    break
-                acc = acc + c * b._coeffs[n - k]
-            out.append(acc)
-        return Series(out)
+        return Series([_dot(support, b._coeffs, n, zero) for n in range(order + 1)])
 
     def __rmul__(self, other: CoeffLike) -> Series:
         if isinstance(other, (int, Fraction, Poly)):
@@ -211,12 +213,7 @@ class Series:
         out: list[Coeff] = [c0_inv]
         zero = self._zero_coeff()
         for n in range(1, self.order + 1):
-            acc = zero
-            for k, c in support:
-                if k > n:
-                    break
-                acc = acc + c * out[n - k]
-            out.append(-(c0_inv * acc))
+            out.append(-(c0_inv * _dot(support, out, n, zero)))
         return Series(out)
 
     def __pow__(self, exponent: int) -> Series:
@@ -275,12 +272,7 @@ class Series:
         out: list[Coeff] = [self._one_coeff()]
         for n in range(1, self.order + 1):
             # n * e_n = sum_{k=1..n} k a_k e_{n-k}
-            acc = zero
-            for k, ka in support:
-                if k > n:
-                    break
-                acc = acc + ka * out[n - k]
-            out.append(acc / n)
+            out.append(_dot(support, out, n, zero) / n)
         return Series(out)
 
     # -- comparison / display ---------------------------------------------

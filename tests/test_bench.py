@@ -73,14 +73,21 @@ class TestCliBench:
 
     @pytest.mark.parametrize(
         "flags, named",
-        [(["--sizes", "-1"], "--sizes"), (["--sizes", "5", "--repeats", "0"], "--repeats")],
+        [
+            (["--sizes", "-1"], "--sizes"),
+            (["--repeats", "0"], "--repeats"),
+            (["--r", "0"], "--r"),
+            (["--triangle-max", "-1"], "--triangle-max"),
+        ],
     )
     def test_bad_sizes_or_repeats_is_usage_error(self, capsys, flags, named):
-        code = cli.main(["bench", *flags, "--r", "2", "--skip-triangle"])
+        # the last occurrence of a flag wins, so ``flags`` overrides the valid base
+        code = cli.main(["bench", "--sizes", "5", "--r", "2", "--triangle-max", "4", *flags])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {named} must be ")
+        assert captured.err.startswith(f"error: {named} must be >= ")
+        assert captured.err.endswith(f", got {flags[1]}\n")
 
     def test_deterministic_modulo_timing_column(self, capsys):
         argv = ["bench", "--sizes", "4,6", "--r", "2", "--triangle-max", "8",

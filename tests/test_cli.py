@@ -3,8 +3,11 @@ determinism, and lossless round-trips of every emitted number."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +16,8 @@ import pytest
 from convfib import cli
 from convfib.report import VerificationReport
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def round_trips(text: str, pattern: str, kind: type) -> bool:
@@ -252,3 +256,48 @@ class TestRoundTrip:
         for line in out.splitlines()[1:]:
             _, _, a = line.split(",")
             assert round_trips(a, r"-?\d+", int)
+
+
+class TestParser:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        argv = ["table", "--mode", "poly", "--n", "2"]
+        assert cli.main(argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main(argv) == 0
+        assert cli.main(argv) == 0
+        assert built == []
+        capsys.readouterr()
+
+
+# Every layer boundary that the benchmark's tracer (perfbench/tracing.py)
+# wraps must exist: install() fails on a missing name.  It patches classes
+# process-wide, so it runs in a child interpreter.
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracing import Tracer
+from convfib import cli
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "thm6", "--N-max", "2", "--order", "6"])
+print(json.dumps({"code": code, "calls": tracer.calls}))
+"""
+
+
+def test_traced_boundaries_exist():
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["code"] == 0
+    assert result["calls"]["convolved.rising_factorial_poly"] > 0

@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import random
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
 
@@ -13,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib import convolved
 from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
@@ -265,6 +261,16 @@ class TestPolynomialForms:
             for r in range(-5, 11):
                 assert poly.evaluate(r) == conv_fib(n, r)
 
+    def test_matches_rising_factorial_sum_through_120(self):
+        """Horner's rule against the defining sum of a_i(N) <x>_{N-i}."""
+        triangle = triangle_recurrence(120)
+        rising = [rising_factorial_poly(k) for k in range(121)]
+        for n in range(121):
+            expected = Poly.zero()
+            for i, a in enumerate(triangle.row(n)):
+                expected = expected + a * rising[n - i]
+            assert conv_fib_poly(n, triangle).monomial == expected
+
     def test_json_dict(self):
         doc = conv_fib_poly(2).to_json_dict()
         assert doc == {"N": 2, "rising": ["1", "2"], "monomial": ["0", "3", "1"]}
@@ -305,27 +311,7 @@ class TestRisingFactorialPoly:
             for n in range(-4, 7):
                 assert poly.evaluate(n) == factorial_powers(n, k)[1]
 
-    def test_shared_table_is_consistent_under_threads(self, monkeypatch):
-        """Threads extending one fresh table at once: no entry lost or doubled."""
-        monkeypatch.setattr(convolved, "_rising", [Poly.one()])
-        threads = 8
-        start = threading.Barrier(threads)
-
-        def worker(seed: int) -> list[tuple[int, Poly]]:
-            ks = list(range(41))
-            random.Random(seed).shuffle(ks)
-            start.wait(timeout=60)
-            return [(k, rising_factorial_poly(k)) for k in ks]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(worker, range(threads), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(results) == threads
-        for k, poly in (pair for chunk in results for pair in chunk):
-            assert poly.degree == k
-            assert poly.evaluate(3) == factorial_powers(3, k)[1]
-        assert [p.degree for p in convolved._rising] == list(range(41))
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(0, 40), v=st.integers(-50, 50))
+    def test_evaluation_matches_numeric_rising_random(self, k, v):
+        assert rising_factorial_poly(k).evaluate(v) == factorial_powers(v, k)[1]
