@@ -128,7 +128,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     overrides = _identity_overrides(args)
     workers = _worker_count(args.jobs, len(names))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a spawned worker starts with the default digit limit
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_set_int_digits, initargs=(0,)
+        ) as pool:
             futures = [pool.submit(run_identity, name, **overrides) for name in names]
             reports = [f.result() for f in futures]
     else:
@@ -226,7 +229,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_int_digits(limit: int) -> int:
+    """Set CPython's limit on the decimal digits of an int/str conversion
+    (4,300 by default, 0 for none) and return the previous limit.
+    Interpreters older than 3.10.7 have no limit to set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    return previous
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command.  Numbers of any length are read and written in
+    full; the caller's digit limit is restored on return."""
+    previous = _set_int_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        _set_int_digits(previous)
+
+
+def _main(argv: Optional[list[str]]) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.out:

@@ -195,6 +195,28 @@ def triangle_closed(n: int, i: int) -> int:
     return 2**i * _chain_sum(i, n - 2 * i + 1, {})
 
 
+def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Row n+1 from row n by a_i(n+1) = 2(n - 2i + 2) a_{i-1}(n) + a_i(n).
+
+    Entries beyond the stored row count as zero, which reproduces the
+    odd-row zero diagonal without special-casing.
+    """
+    width = (n + 2) // 2 + 1  # row n+1 holds i = 0 .. floor((n+2)/2)
+    row = [1]
+    for i in range(1, width):
+        above = prev[i] if i < len(prev) else 0
+        row.append(2 * (n - 2 * i + 2) * prev[i - 1] + above)
+    return tuple(row)
+
+
+def _recurrence_row(n: int) -> tuple[int, ...]:
+    """Row n of the triangle by the row step, holding two rows at a time."""
+    row = (1,)
+    for m in range(n):
+        row = _next_row(row, m)
+    return row
+
+
 @dataclass(frozen=True)
 class CoeffTriangle:
     """Rows of a_i(N) for 0 <= N <= n_max, 0 <= i <= floor((N+1)/2)."""
@@ -203,21 +225,12 @@ class CoeffTriangle:
 
     @classmethod
     def from_recurrence(cls, n_max: int) -> CoeffTriangle:
-        """Seed a_0(0) = 1 and apply the row step; entries above each row's
-        stored width count as zero, which reproduces the odd-row zero
-        diagonal without special-casing.
-        """
+        """Seed a_0(0) = 1 and apply the row step :func:`_next_row`."""
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         rows: list[tuple[int, ...]] = [(1,)]
         for n in range(n_max):
-            prev = rows[n]
-            width = (n + 2) // 2 + 1  # row n+1 holds i = 0 .. floor((n+2)/2)
-            row = [1]
-            for i in range(1, width):
-                above = prev[i] if i < len(prev) else 0
-                row.append(2 * (n - 2 * i + 2) * prev[i - 1] + above)
-            rows.append(tuple(row))
+            rows.append(_next_row(rows[n], n))
         return cls(tuple(rows))
 
     @classmethod
@@ -304,12 +317,12 @@ class RisingFactorialPoly:
 def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactorialPoly:
     """p_N(x) = sum_i a_i(N) <x>_{N-i}, expanded to the monomial basis by Horner's
     rule c_0 + x(c_1 + (x+1)(c_2 + ... + (x+N-1) c_N)), c_{N-i} = a_i(N), else 0.
+
+    Without a triangle, row N comes from the row step alone, two rows at a time.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if triangle is None:
-        triangle = CoeffTriangle.from_recurrence(n)
-    rising = triangle.row(n)
+    rising = _recurrence_row(n) if triangle is None else triangle.row(n)
     monomial = Poly.constant(rising[0])
     for m in range(n - 1, -1, -1):
         monomial = Poly((m, 1)) * monomial
@@ -318,17 +331,24 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
     return RisingFactorialPoly(n, rising, monomial)
 
 
-def conv_fib_poly_oracle(n: int, order: int) -> Poly:
-    """p_N(x) built symbolically, with no triangle involved.
+def conv_fib_poly_genfun(order: int) -> Series:
+    """F = exp(x * (-log(1 - t - t^2))) = sum_N p_N(x) t^N / N! over Q[x],
+    through t^order, built symbolically with no triangle involved."""
+    neg_log = -(base_series(order).log())
+    return (neg_log.lift() * Poly.x()).exp()
 
-    Expands exp(x * (-log(1 - t - t^2))) in the series ring over Q[x] and
-    reads off n! times the t^n coefficient.  Requires order >= n.
+
+def conv_fib_poly_oracle(n: int, order: int, genfun: Series | None = None) -> Poly:
+    """p_N(x) built symbolically, with no triangle involved: n! times the
+    t^n coefficient of :func:`conv_fib_poly_genfun`.  Requires order >= n.
+
+    A caller that reads many N passes ``genfun``, the expansion at this
+    order built once, in place of a fresh expansion per call.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if order < n:
         raise TruncationTooShort(f"need order >= {n}, got {order}")
-    neg_log = -(base_series(order).log())
-    exponent = neg_log.lift() * Poly.x()
-    expanded = exponent.exp()
-    return expanded.coefficient(n) * factorial(n)
+    if genfun is None:
+        genfun = conv_fib_poly_genfun(order)
+    return genfun.coefficient(n) * factorial(n)

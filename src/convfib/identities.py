@@ -22,12 +22,12 @@ from convfib.convolved import (
     conv_fib,
     conv_fib_by_nested_sum,
     conv_fib_poly,
+    conv_fib_poly_genfun,
     conv_fib_poly_oracle,
     factorial_powers,
     rising_factorial_poly,
 )
 from convfib.fibonacci import fib, fib_genfun_check
-from convfib.poly import Poly
 from convfib.report import VerificationReport, scan
 from convfib.series import Series
 
@@ -122,20 +122,29 @@ def verify_thm6(
 
         sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^{-(N-i)} * F
 
-    exactly through order - N, for every N <= n_max.
+    exactly through order - N, for every N <= n_max.  The left side
+    differentiates F once per N; the right side multiplies the bracket by
+    F.  The powers of (1+2t) and of (1-t-t^2)^{-1} are built once per
+    check, each from the one before; their coefficients are integers, so
+    they are kept over Q[x], where products run on integer numerators.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
 
-    base = base_series(order)
-    gen = (-(base.log()).lift() * Poly.x()).exp()
-    two_t = Series.from_polynomial((1, 2), order)
-    inv_base_pows = [Series.one(order)]
-    base_inv = base.inverse()
+    gen = conv_fib_poly_genfun(order)
+    one = Series.one(order).lift()
+    inv_base_pows = [one]
+    base_inv = base_series(order).inverse().lift()
     for _ in range(n_max):
         inv_base_pows.append(inv_base_pows[-1] * base_inv)
+    # exponents -1 .. n_max; -1 occurs at i = (N+1)/2 for odd N, where the
+    # triangle holds a zero unless it was altered
+    two_t = Series.from_polynomial((1, 2), order).lift()
+    two_t_pows = {-1: two_t.inverse(), 0: one}
+    for e in range(1, n_max + 1):
+        two_t_pows[e] = two_t_pows[e - 1] * two_t
 
     def cells():
         lhs = gen
@@ -145,7 +154,7 @@ def verify_thm6(
             bracket = Series.zero(order).lift()
             for i in range((n + 1) // 2 + 1):
                 scalar = triangle.entry(n, i) * rising_factorial_poly(n - i)
-                rational = (two_t ** (n - 2 * i)) * inv_base_pows[n - i]
+                rational = two_t_pows[n - 2 * i] * inv_base_pows[n - i]
                 bracket = bracket + rational * scalar
             m = order - n
             rhs = bracket.truncate(m) * gen.truncate(m)
@@ -193,17 +202,20 @@ def verify_cor8(
     """p_N(x) = sum_i a_i(N) <x>_{N-i}, as polynomials and at sample points.
 
     For each N the monomial expansion of the rising-factorial form must
-    coincide with the triangle-free symbolic construction, and its value
-    at every x in the grid must equal p_N(x).
+    coincide with the triangle-free symbolic construction, read from one
+    expansion of the generating function at order n_max, and its value at
+    every x in the grid must equal p_N(x).
     """
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
     xs = sorted(x_values)
 
     def cells():
+        genfun = conv_fib_poly_genfun(n_max)  # one expansion serves every N
         for n in range(n_max + 1):
             poly = conv_fib_poly(n, triangle)
-            yield {"N": n, "check": "polynomial"}, poly.monomial, conv_fib_poly_oracle(n, n)
+            oracle = conv_fib_poly_oracle(n, n_max, genfun)
+            yield {"N": n, "check": "polynomial"}, poly.monomial, oracle
             for x in xs:
                 yield {"N": n, "x": x}, poly.evaluate(x), conv_fib(n, x)
 

@@ -5,8 +5,9 @@ integer numerators in the monomial basis, lowest power first, over one
 positive common denominator, in canonical form: no trailing zero
 numerators and gcd(denominator, *numerators) == 1.  The zero polynomial
 stores no numerators over denominator 1 and reports degree -1.  Sums and
-products run on plain integers and are reduced once per result; the
-Fraction coefficients are built on demand.
+products run on plain integers and are reduced once per result, and so
+does a whole sum of products (:func:`sum_of_products`); the Fraction
+coefficients are built on demand.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -70,18 +71,43 @@ def _sum(a: Poly, b: Poly) -> Poly:
     return _reduced(out, den)
 
 
-def _product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Schoolbook product of two integer coefficient sequences."""
-    if not a or not b:
-        return []
+def _add_product(out: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """Add the schoolbook product of a and b into out, which is long enough."""
     if len(a) > len(b):
         a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b, i):
                 out[j] += ca * cb
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Schoolbook product of two integer coefficient sequences."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    _add_product(out, a, b)
     return out
+
+
+def sum_of_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
+    """The canonical Poly equal to the sum of a * b over ``pairs``.
+
+    Every product is scaled to the lcm of the term denominators and added
+    into one integer list, so the sum is reduced once, not once per term.
+    """
+    pairs = [(a, b) for a, b in pairs if a._nums and b._nums]
+    if not pairs:
+        return _make((), 1)
+    den = lcm(*(a._den * b._den for a, b in pairs))
+    out = [0] * max(len(a._nums) + len(b._nums) - 1 for a, b in pairs)
+    for a, b in pairs:
+        an, bn = a._nums, b._nums
+        if len(an) > len(bn):
+            an, bn = bn, an
+        scale = den // (a._den * b._den)
+        _add_product(out, [n * scale for n in an] if scale != 1 else an, bn)
+    return _reduced(out, den)
 
 
 class Poly:

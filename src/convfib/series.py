@@ -8,6 +8,12 @@ returns a series whose order is the minimum of the operand orders.
 Equality demands the same order and identical coefficients; compare
 through a common prefix by truncating first.
 
+Products, inverses and exponentials build each coefficient as one
+convolution sum.  Over Q[x] that sum is a single
+:func:`~convfib.poly.sum_of_products` on integer numerators, reduced
+once per coefficient (``_poly_dot``); over Q the Fraction terms are
+added one by one (``_dot``).  The ring is chosen once per operation.
+
 The transcendental operations work through the logarithmic derivative:
 ``log`` integrates a'/a and ``exp`` solves E' = a'E term by term.  Both
 stay inside the coefficient ring because only scalar divisions by the
@@ -19,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from convfib.poly import Poly
+from convfib.poly import Poly, sum_of_products
 
 Coeff = Union[Fraction, Poly]
 CoeffLike = Union[int, Fraction, Poly]
@@ -59,6 +65,11 @@ def _dot(support: list[tuple[int, Coeff]], seq: Sequence[Coeff], n: int, zero: C
             break
         acc = acc + c * seq[n - k]
     return acc
+
+
+def _poly_dot(support: list[tuple[int, Poly]], seq: Sequence[Poly], n: int, _zero: Poly) -> Poly:
+    """:func:`_dot` over Q[x]: one :func:`~convfib.poly.sum_of_products`, reduced once."""
+    return sum_of_products([(c, seq[n - k]) for k, c in support if k <= n])
 
 
 class Series:
@@ -195,7 +206,8 @@ class Series:
         # Cauchy product; iterate only over the sparser factor's support.
         support = [(k, c) for k, c in enumerate(a._coeffs[: order + 1]) if c]
         zero = a._zero_coeff()
-        return Series([_dot(support, b._coeffs, n, zero) for n in range(order + 1)])
+        dot = _poly_dot if a._poly else _dot
+        return Series([dot(support, b._coeffs, n, zero) for n in range(order + 1)])
 
     def __rmul__(self, other: CoeffLike) -> Series:
         if isinstance(other, (int, Fraction, Poly)):
@@ -212,8 +224,9 @@ class Series:
         support = [(k, c) for k, c in enumerate(self._coeffs) if k and c]
         out: list[Coeff] = [c0_inv]
         zero = self._zero_coeff()
+        dot = _poly_dot if self._poly else _dot
         for n in range(1, self.order + 1):
-            out.append(-(c0_inv * _dot(support, out, n, zero)))
+            out.append(-(c0_inv * dot(support, out, n, zero)))
         return Series(out)
 
     def __pow__(self, exponent: int) -> Series:
@@ -269,10 +282,11 @@ class Series:
             raise BadConstantTerm(f"exp needs constant term 0, got {self._coeffs[0]}")
         support = [(k, c * k) for k, c in enumerate(self._coeffs) if k and c]
         zero = self._zero_coeff()
+        dot = _poly_dot if self._poly else _dot
         out: list[Coeff] = [self._one_coeff()]
         for n in range(1, self.order + 1):
             # n * e_n = sum_{k=1..n} k a_k e_{n-k}
-            out.append(_dot(support, out, n, zero) / n)
+            out.append(dot(support, out, n, zero) / n)
         return Series(out)
 
     # -- comparison / display ---------------------------------------------

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from convfib import cli
+from convfib.fibonacci import fib
 from convfib.report import VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +58,28 @@ class TestFib:
     def test_reversed_range_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "fib", "--from", "5", "--to", "1")
         assert code == 2
+
+    def test_values_beyond_4300_digits_are_written_in_full(self, capsys):
+        """F_20600 has 4,306 digits, past CPython's default int/str limit."""
+        code, out = run_cli(capsys, "fib", "--from", "20600", "--to", "20600")
+        assert code == 0
+        n, value = out.splitlines()[1].split(",")
+        assert n == "20600"
+        assert re.fullmatch(r"\d{4306}", value)
+        assert int(value[-18:]) == fib(20600) % 10**18
+
+    @pytest.mark.parametrize(
+        "argv", [("fib", "--from", "0", "--to", "3"), ("fib", "--from", "3", "--to", "0")], ids=["ok", "usage-error"]
+    )
+    def test_caller_digit_limit_is_restored(self, capsys, argv):
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            cli.main(list(argv))
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
+        capsys.readouterr()
 
 
 class TestTable:
@@ -284,6 +307,7 @@ import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracing import Tracer
 from convfib import cli
+from convfib.fibonacci import fib
 tracer = Tracer()
 tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -17,6 +18,7 @@ from convfib.convolved import (
     conv_fib,
     conv_fib_by_nested_sum,
     conv_fib_poly,
+    conv_fib_poly_genfun,
     conv_fib_poly_oracle,
     conv_fib_row,
     conv_fib_row_by_recurrence,
@@ -271,6 +273,24 @@ class TestPolynomialForms:
                 expected = expected + a * rising[n - i]
             assert conv_fib_poly(n, triangle).monomial == expected
 
+    def test_rows_without_a_triangle_match_the_closed_form(self):
+        """Row N rolled by the row step alone, against the nested-sum form."""
+        closed = CoeffTriangle.from_closed_form(40)
+        for n in range(41):
+            assert conv_fib_poly(n).rising == closed.row(n)
+        assert conv_fib_poly(40).monomial == conv_fib_poly(40, closed).monomial
+
+    def test_memory_without_a_triangle_stays_near_the_result(self):
+        """Without a triangle only two rows are held, not all N + 1."""
+        tracemalloc.start()
+        try:
+            poly = conv_fib_poly(200)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert poly.monomial.degree == 200
+        assert peak < 3 * held
+
     def test_json_dict(self):
         doc = conv_fib_poly(2).to_json_dict()
         assert doc == {"N": 2, "rising": ["1", "2"], "monomial": ["0", "3", "1"]}
@@ -293,6 +313,11 @@ class TestPolynomialOracle:
 
     def test_stable_under_larger_order(self):
         assert conv_fib_poly_oracle(4, 4) == conv_fib_poly_oracle(4, 9)
+
+    def test_reads_a_given_expansion(self):
+        genfun = conv_fib_poly_genfun(12)
+        for n in range(13):
+            assert conv_fib_poly_oracle(n, 12, genfun) == conv_fib_poly_oracle(n, n)
 
     def test_short_order_rejected(self):
         with pytest.raises(TruncationTooShort):

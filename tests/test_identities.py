@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from convfib import identities
 from convfib.convolved import CoeffTriangle, TruncationTooShort, conv_fib
 from convfib.fibonacci import fib
 from convfib.identities import (
@@ -55,6 +56,18 @@ class TestGridsPass:
     def test_cor8(self):
         assert verify_cor8(12, range(-4, 7)).passed
 
+    def test_cor8_expands_the_generating_function_once(self, monkeypatch):
+        orders = []
+        genfun = identities.conv_fib_poly_genfun
+
+        def counted(order):
+            orders.append(order)
+            return genfun(order)
+
+        monkeypatch.setattr(identities, "conv_fib_poly_genfun", counted)
+        assert verify_cor8(12, range(-4, 7)).passed
+        assert orders == [12]
+
     def test_cor9(self):
         assert verify_cor9(25).passed
 
@@ -99,7 +112,8 @@ class TestMutationSensitivity:
     """A single +1 on any one triangle entry must break every check that
     consumes the triangle, with the counterexample populated."""
 
-    MUTATIONS = ((3, 1), (5, 2), (6, 3))
+    # (3, 2) is on the zero diagonal of an odd row, where thm6 needs (1+2t)^-1
+    MUTATIONS = ((3, 1), (3, 2), (5, 2), (6, 3))
 
     @pytest.fixture()
     def triangle(self):

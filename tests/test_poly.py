@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib.poly import Poly
+from convfib.poly import Poly, sum_of_products
 
 # Small rationals, zero and negative ones included, with a few wide integers
 # so that numerators and common denominators grow past one machine word.
@@ -172,6 +172,56 @@ class TestRandomizedAgainstFractionLists:
             assert hash(clone) == hash(p)
             assert clone.coefficients == p.coefficients
             assert_canonical(clone)
+
+
+def term_by_term(pairs: list[tuple[Poly, Poly]]) -> Poly:
+    """The sum of a * b by plain Poly operations, reduced after every term."""
+    acc = Poly.zero()
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+PAIRS = st.lists(st.tuples(COEFFS.map(Poly), COEFFS.map(Poly)), max_size=5)
+
+
+class TestSumOfProducts:
+    """The fused kernel against term-by-term accumulation.
+
+    The coefficient lists hold zero and constant polynomials, negative and
+    wide coefficients, and denominators up to 12, so the terms' denominators
+    differ.
+    """
+
+    @staticmethod
+    def assert_same(fused: Poly, naive: Poly) -> None:
+        assert_canonical(fused)
+        assert fused == naive
+        assert hash(fused) == hash(naive)
+        assert fused.coefficients == naive.coefficients
+        assert str(fused) == str(naive)
+
+    @settings(max_examples=30, deadline=None)
+    @given(pairs=PAIRS)
+    def test_matches_term_by_term(self, pairs):
+        self.assert_same(sum_of_products(pairs), term_by_term(pairs))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pairs=PAIRS, a=COEFFS.map(Poly), b=COEFFS.map(Poly), c=COEFFS.map(Poly))
+    def test_cancelling_sums(self, pairs, a, b, c):
+        """Sums that cancel to zero, and sums whose leading terms cancel."""
+        opposite = [(-p, q) for p, q in pairs]
+        self.assert_same(sum_of_products(pairs + opposite), Poly.zero())
+        self.assert_same(sum_of_products([(a, b + c), (-a, b)]), a * c)
+
+    def test_empty_and_zero_terms(self):
+        assert sum_of_products([]) == Poly.zero()
+        assert sum_of_products([(Poly.zero(), Poly.x()), (Poly([3]), Poly.zero())]) == Poly.zero()
+        assert sum_of_products([(Poly([Fraction(1, 2)]), Poly([Fraction(2, 3)]))]) == Poly([Fraction(1, 3)])
+        half_x = Poly([0, Fraction(1, 2)])
+        assert sum_of_products([(half_x, Poly([2])), (Poly([1]), Poly([0, Fraction(-1, 3)]))]) == Poly(
+            [0, Fraction(2, 3)]
+        )
 
 
 class TestEvaluation:

@@ -324,6 +324,59 @@ class TestRandomizedRingLaws:
         assert unit.log().exp() == unit
 
 
+def naive_mul(a: list[Poly], b: list[Poly]) -> list[Poly]:
+    """Cauchy product over Q[x], each term added with plain Poly operations."""
+    out = []
+    for n in range(len(a)):
+        acc = Poly.zero()
+        for k in range(n + 1):
+            acc = acc + a[k] * b[n - k]
+        out.append(acc)
+    return out
+
+
+def naive_inverse(a: list[Poly]) -> list[Poly]:
+    """b_0 = 1/a_0 and a_0 b_n = -sum_{k>=1} a_k b_{n-k}, term by term."""
+    c0_inv = Poly.constant(1 / a[0].constant_value())
+    out = [c0_inv]
+    for n in range(1, len(a)):
+        acc = Poly.zero()
+        for k in range(1, n + 1):
+            acc = acc + a[k] * out[n - k]
+        out.append(-(c0_inv * acc))
+    return out
+
+
+def naive_exp(a: list[Poly]) -> list[Poly]:
+    """n e_n = sum_{k=1..n} k a_k e_{n-k}, term by term."""
+    out = [Poly.one()]
+    for n in range(1, len(a)):
+        acc = Poly.zero()
+        for k in range(1, n + 1):
+            acc = acc + (a[k] * k) * out[n - k]
+        out.append(acc / n)
+    return out
+
+
+class TestPolyRingAgainstTermByTerm:
+    """Series over Q[x], whose coefficients are each one fused sum of
+    products, against the same recurrences run on plain Poly operations."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_mul_inverse_exp(self, data):
+        a, b = (data.draw(series("Q[x]")) for _ in range(2))
+        unit = data.draw(series("Q[x]", constant=RATIONALS.filter(bool)))
+        nil = data.draw(series("Q[x]", constant=st.just(0)))
+        for got, want in (
+            (a * b, naive_mul(list(a.coefficients), list(b.coefficients))),
+            (unit.inverse(), naive_inverse(list(unit.coefficients))),
+            (nil.exp(), naive_exp(list(nil.coefficients))),
+        ):
+            assert list(got.coefficients) == want
+            assert [hash(c) for c in got.coefficients] == [hash(c) for c in want]
+
+
 class TestConstruction:
     def test_series_needs_a_constant_term(self):
         with pytest.raises(ValueError):
