@@ -38,7 +38,7 @@ from convfib.identities import (
     verify_thm7,
 )
 from convfib.poly import Poly
-from convfib.report import VerificationReport
+from convfib.report import UsageError, VerificationReport
 from convfib.series import BadConstantTerm, NonInvertibleConstantTerm, Series
 
 __version__ = "0.1.0"
@@ -54,6 +54,7 @@ __all__ = [
     "RisingFactorialPoly",
     "Series",
     "TruncationTooShort",
+    "UsageError",
     "VerificationReport",
     "base_series",
     "conv_fib",

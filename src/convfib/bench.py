@@ -20,6 +20,7 @@ from convfib.convolved import (
     conv_fib_row_by_recurrence,
 )
 from convfib.fibonacci import fib
+from convfib.report import UsageError
 
 VALUE_ALGORITHMS = ("nested-sum", "falling-recurrence", "series-power")
 TRIANGLE_ALGORITHMS = ("triangle-recurrence", "triangle-closed")
@@ -81,7 +82,7 @@ def run_bench(
     Raises :class:`CrossCheckFailure` on any disagreement.
     """
     if depth < 1:
-        raise ValueError("depth must be >= 1")
+        raise UsageError("depth must be >= 1")
     if sizes:
         fib(max(sizes))  # warm the Fibonacci table so timings exclude it
     for n in sizes:

@@ -1,10 +1,11 @@
 """Command-line surface: sequence tables, identity verification, benchmarks.
 
 Exit codes: 0 when everything passed, 1 when a verifier or benchmark
-cross-check reported a genuine failure, 2 for malformed usage, 3 when the
-program itself failed (an internal error, never a disagreement).  All big
-numbers are emitted as decimal strings; CSV output uses a header row, LF
-line endings and no quoting.
+cross-check reported a genuine failure, 2 for malformed usage (an argparse
+error or a :class:`~convfib.report.UsageError`), 3 for any other error (a
+crash, never a disagreement); commands raise, and :func:`main` alone maps
+an error to its code.  All big numbers are emitted as decimal strings; CSV
+output uses a header row, LF line endings and no quoting.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from convfib import bench as bench_mod
 from convfib.convolved import CoeffTriangle, conv_fib_poly, conv_fib_row
 from convfib.fibonacci import fib
 from convfib.identities import IDENTITY_NAMES, run_identity
+from convfib.report import UsageError
 
 
 def _open_out(path: str, mode: str):
     try:
         return open(path, mode, encoding="utf-8", newline="")
     except OSError as exc:
-        raise ValueError(f"cannot write --out: {exc}") from exc
+        raise UsageError(f"cannot write --out: {exc}") from exc
 
 
 def _check_out(path: str) -> None:
@@ -61,8 +63,7 @@ def _json_doc(payload: object) -> str:
 
 def cmd_fib(args: argparse.Namespace) -> int:
     if args.start > args.stop:
-        print(f"error: --from {args.start} exceeds --to {args.stop}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
     pairs = [(n, fib(n)) for n in range(args.start, args.stop + 1)]
     if args.format == "json":
         text = _json_doc([{"n": n, "F": str(value)} for n, value in pairs])
@@ -94,38 +95,27 @@ def cmd_table(args: argparse.Namespace) -> int:
             text = _csv("N,i,a", [f"{n},{i},{a}" for n, i, a in cells])
     else:  # poly
         if args.n is None:
-            print("error: --mode poly requires --n", file=sys.stderr)
-            return 2
+            raise UsageError("--mode poly requires --n")
         if args.format == "csv":
-            print("error: the polynomial table is JSON only", file=sys.stderr)
-            return 2
+            raise UsageError("the polynomial table is JSON only")
         text = _json_doc(conv_fib_poly(args.n).to_json_dict())
     _emit(text, args.out)
     return 0
 
 
-def _identity_overrides(args: argparse.Namespace) -> dict[str, Optional[int]]:
-    return {
-        "n_max": args.n_max,
-        "big_n_max": args.cap_n_max,
-        "k_max": args.k_max,
-        "r_max": args.r_max,
-        "order": args.order,
-        "x_min": args.x_min,
-        "x_max": args.x_max,
-    }
-
-
 def _worker_count(jobs: int, tasks: int) -> int:
     """Processes worth starting: never more than tasks or cores."""
     if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
-    overrides = _identity_overrides(args)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("n_max", "big_n_max", "k_max", "r_max", "order", "x_min", "x_max")
+    }
     workers = _worker_count(args.jobs, len(names))
     if workers > 1:
         # a spawned worker starts with the default digit limit
@@ -143,25 +133,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if any(n < 0 for n in args.sizes):
-        raise ValueError(f"--sizes must be >= 0, got {min(args.sizes)}")
+        raise UsageError(f"--sizes must be >= 0, got {min(args.sizes)}")
     if args.repeats < 1:
-        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     if args.r < 1:
-        raise ValueError(f"--r must be >= 1, got {args.r}")
+        raise UsageError(f"--r must be >= 1, got {args.r}")
     if args.triangle_max < 0:
-        raise ValueError(f"--triangle-max must be >= 0, got {args.triangle_max}")
-    triangle_max = None if args.skip_triangle else args.triangle_max
-    try:
-        rows = bench_mod.run_bench(
-            args.sizes,
-            depth=args.r,
-            triangle_max=triangle_max,
-            min_seconds=args.min_time_ms / 1000.0,
-            repeats=args.repeats,
-        )
-    except bench_mod.CrossCheckFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise UsageError(f"--triangle-max must be >= 0, got {args.triangle_max}")
+    rows = bench_mod.run_bench(
+        args.sizes,
+        depth=args.r,
+        triangle_max=None if args.skip_triangle else args.triangle_max,
+        min_seconds=args.min_time_ms / 1000.0,
+        repeats=args.repeats,
+    )
     text = _csv(
         "algorithm,params,seconds",
         [f"{row.algorithm},{row.params},{row.seconds:.9f}" for row in rows],
@@ -206,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run identity verifiers on exact grids")
     p_verify.add_argument("identity", choices=("all",) + IDENTITY_NAMES)
     p_verify.add_argument("--n-max", type=int, help="series-index bound")
-    p_verify.add_argument("--N-max", dest="cap_n_max", type=int, help="row/derivative bound")
+    p_verify.add_argument("--N-max", dest="big_n_max", type=int, help="row/derivative bound")
     p_verify.add_argument("--k-max", type=int)
     p_verify.add_argument("--r-max", type=int)
     p_verify.add_argument("--order", type=int, help="series truncation order")
@@ -256,11 +241,12 @@ def _main(argv: Optional[list[str]]) -> int:
         if args.out:
             _check_out(args.out)
         return args.func(args)
-    except ValueError as exc:
-        # out-of-domain bounds (negative sizes, empty grids, too-short
-        # orders, ...) and an --out path that cannot be opened
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except bench_mod.CrossCheckFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         # a crash must not read as a disagreement (exit 1)
         traceback.print_exc()

@@ -26,16 +26,20 @@ and give p_N(x) = sum_i a_i(N) <x>_{N-i} in the rising-factorial basis.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial
+from typing import Iterator
 
 from convfib.fibonacci import fib
 from convfib.poly import Poly
+from convfib.report import UsageError
 from convfib.series import Series
 
 
-class TruncationTooShort(ValueError):
+class TruncationTooShort(UsageError):
     """A series was requested at an order too small to reach the target."""
 
 
@@ -63,7 +67,7 @@ def conv_fib_row(r: int, n_max: int) -> list[int]:
     the high coefficients are zero.
     """
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise UsageError("n_max must be >= 0")
     power = base_series(n_max) ** (-r)
     out = []
     f = 1
@@ -85,7 +89,7 @@ def conv_fib(n: int, r: int) -> int:
     sweeping n upward costs amortized one series power.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise UsageError("n must be >= 0")
     row = _rows.get(r)
     if row is None or len(row) <= n:
         with _rows_lock:
@@ -105,7 +109,7 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
     grows like n**(r-1).
     """
     if r < 1:
-        raise ValueError("the nested-sum form needs r >= 1")
+        raise UsageError("the nested-sum form needs r >= 1")
 
     def fold(m: int, depth: int) -> int:
         if depth == 0:
@@ -120,9 +124,9 @@ def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
     p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l up from the row p_n(1) = n! F_n.
     """
     if r < 1:
-        raise ValueError("the recurrence form needs r >= 1")
+        raise UsageError("the recurrence form needs r >= 1")
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise UsageError("n_max must be >= 0")
     row = [factorial(n) * fib(n) for n in range(n_max + 1)]
     for _ in range(r - 1):
         nxt = []
@@ -145,7 +149,7 @@ def factorial_powers(n: int, l: int) -> tuple[int, int]:
     product n(n+1)...(n+l-1); both are 1 when l = 0.
     """
     if l < 0:
-        raise ValueError("l must be >= 0")
+        raise UsageError("l must be >= 0")
     falling = 1
     rising = 1
     for j in range(l):
@@ -160,7 +164,7 @@ def rising_factorial_poly(k: int) -> Poly:
     The plain product of the k factors (x + j), built afresh on each call.
     """
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise UsageError("k must be >= 0")
     out = Poly.one()
     for j in range(k):
         out = out * Poly((j, 1))
@@ -184,15 +188,18 @@ def _chain_sum(depth: int, upper: int, memo: dict[tuple[int, int], int]) -> int:
     return cached
 
 
+def _closed_entry(n: int, i: int, memo: dict[tuple[int, int], int]) -> int:
+    """a_i(N) by the nested-sum closed form; ``memo`` shares subsums."""
+    return 2**i * _chain_sum(i, n - 2 * i + 1, memo)
+
+
 def triangle_closed(n: int, i: int) -> int:
     """a_i(N) from the closed nested-sum form, independent of the recurrence."""
     if n < 0:
-        raise ValueError("row index must be >= 0")
+        raise UsageError("row index must be >= 0")
     if not 0 <= i <= (n + 1) // 2:
         raise IndexOutOfTriangle(f"a_{i}({n}) lies outside the triangle")
-    if i == 0:
-        return 1
-    return 2**i * _chain_sum(i, n - 2 * i + 1, {})
+    return _closed_entry(n, i, {})
 
 
 def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -209,12 +216,9 @@ def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _recurrence_row(n: int) -> tuple[int, ...]:
-    """Row n of the triangle by the row step, holding two rows at a time."""
-    row = (1,)
-    for m in range(n):
-        row = _next_row(row, m)
-    return row
+def _recurrence_rows(n_max: int) -> Iterator[tuple[int, ...]]:
+    """Rows 0 .. n_max of the triangle, one at a time: a_0(0) = 1, then the row step."""
+    return accumulate(range(n_max), _next_row, initial=(1,))
 
 
 @dataclass(frozen=True)
@@ -227,26 +231,19 @@ class CoeffTriangle:
     def from_recurrence(cls, n_max: int) -> CoeffTriangle:
         """Seed a_0(0) = 1 and apply the row step :func:`_next_row`."""
         if n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        rows: list[tuple[int, ...]] = [(1,)]
-        for n in range(n_max):
-            rows.append(_next_row(rows[n], n))
-        return cls(tuple(rows))
+            raise UsageError("n_max must be >= 0")
+        return cls(tuple(_recurrence_rows(n_max)))
 
     @classmethod
     def from_closed_form(cls, n_max: int) -> CoeffTriangle:
         """Every entry from the nested-sum closed form, sharing subsums."""
         if n_max < 0:
-            raise ValueError("n_max must be >= 0")
+            raise UsageError("n_max must be >= 0")
         memo: dict[tuple[int, int], int] = {}
-        rows = []
-        for n in range(n_max + 1):
-            width = (n + 1) // 2 + 1
-            row = [1]
-            for i in range(1, width):
-                row.append(2**i * _chain_sum(i, n - 2 * i + 1, memo))
-            rows.append(tuple(row))
-        return cls(tuple(rows))
+        return cls(tuple(
+            tuple(_closed_entry(n, i, memo) for i in range((n + 1) // 2 + 1))
+            for n in range(n_max + 1)
+        ))
 
     @property
     def n_max(self) -> int:
@@ -321,8 +318,8 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
     Without a triangle, row N comes from the row step alone, two rows at a time.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
-    rising = _recurrence_row(n) if triangle is None else triangle.row(n)
+        raise UsageError("n must be >= 0")
+    rising = deque(_recurrence_rows(n), maxlen=1)[0] if triangle is None else triangle.row(n)
     monomial = Poly.constant(rising[0])
     for m in range(n - 1, -1, -1):
         monomial = Poly((m, 1)) * monomial
@@ -346,7 +343,7 @@ def conv_fib_poly_oracle(n: int, order: int, genfun: Series | None = None) -> Po
     order built once, in place of a fresh expansion per call.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise UsageError("n must be >= 0")
     if order < n:
         raise TruncationTooShort(f"need order >= {n}, got {order}")
     if genfun is None:

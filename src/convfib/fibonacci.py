@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 
-from convfib.report import VerificationReport, scan
+from convfib.report import UsageError, VerificationReport, scan
 from convfib.series import Series
 
 
@@ -80,7 +80,7 @@ def fib_genfun_check(order: int) -> VerificationReport:
     F_k - F_{k-1} - F_{k-2} = 0 directly on the series coefficients.
     """
     if order < 2:
-        raise ValueError("the generating-function check needs order >= 2")
+        raise UsageError("the generating-function check needs order >= 2")
     coeffs = Series.from_polynomial((1, -1, -1), order).inverse().coefficients
 
     def cells():

@@ -28,7 +28,7 @@ from convfib.convolved import (
     rising_factorial_poly,
 )
 from convfib.fibonacci import fib, fib_genfun_check
-from convfib.report import VerificationReport, scan
+from convfib.report import UsageError, VerificationReport, scan
 from convfib.series import Series
 
 
@@ -124,9 +124,9 @@ def verify_thm6(
 
     exactly through order - N, for every N <= n_max.  The left side
     differentiates F once per N; the right side multiplies the bracket by
-    F.  The powers of (1+2t) and of (1-t-t^2)^{-1} are built once per
-    check, each from the one before; their coefficients are integers, so
-    they are kept over Q[x], where products run on integer numerators.
+    F.  Each <x>_k is built once per check.  So are the powers of (1+2t)
+    and of (1-t-t^2)^{-1}, each from the one before; their coefficients are
+    integers, so they are kept over Q[x], where products run on integers.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
@@ -134,6 +134,7 @@ def verify_thm6(
         triangle = CoeffTriangle.from_recurrence(n_max)
 
     gen = conv_fib_poly_genfun(order)
+    rising = [rising_factorial_poly(k) for k in range(n_max + 1)]
     one = Series.one(order).lift()
     inv_base_pows = [one]
     base_inv = base_series(order).inverse().lift()
@@ -153,7 +154,7 @@ def verify_thm6(
                 lhs = lhs.derivative()
             bracket = Series.zero(order).lift()
             for i in range((n + 1) // 2 + 1):
-                scalar = triangle.entry(n, i) * rising_factorial_poly(n - i)
+                scalar = triangle.entry(n, i) * rising[n - i]
                 rational = two_t_pows[n - 2 * i] * inv_base_pows[n - i]
                 bracket = bracket + rational * scalar
             m = order - n
@@ -286,7 +287,7 @@ def run_identity(
     ``big_n_max`` overrides the row/derivative bound of the identities
     indexed by N; ``n_max`` overrides the series-index bound of the rest.
     Overrides that an identity does not use are ignored.  An inverted
-    x range raises ``ValueError``.
+    x range raises :class:`~convfib.report.UsageError`.
     """
     if name not in _REGISTRY:
         raise KeyError(f"unknown identity {name!r} (choose from {', '.join(IDENTITY_NAMES)})")
@@ -303,7 +304,7 @@ def run_identity(
     if "x_min" in params:
         lo, hi = params.pop("x_min"), params.pop("x_max")
         if lo > hi:
-            raise ValueError(f"x_min {lo} exceeds x_max {hi}")
+            raise UsageError(f"x_min {lo} exceeds x_max {hi}")
         params["x_values"] = range(lo, hi + 1)
     # Looked up at call time, so a rebound module global is the one called.
     verifier = globals()["fib_genfun_check" if name == "genfun" else f"verify_{name}"]

@@ -241,6 +241,8 @@ class Poly:
         return self._nums == other._nums and self._den == other._den
 
     def __hash__(self) -> int:
+        if self.is_constant():  # equal to its int or Fraction value, so hashed alike
+            return hash(self.coefficient(0))
         return hash((self._nums, self._den))
 
     def __bool__(self) -> bool:

@@ -1,9 +1,14 @@
-"""Outcome record for an identity checked over a parameter grid."""
+"""Verification reports, the grid scan behind them, and the usage error."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
+
+
+class UsageError(ValueError):
+    """A caller's argument is out of range: a negative bound, an empty grid,
+    a truncation order too short for the request, an unwritable path."""
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ def scan(
     ``cells`` yields ``(params, lhs, rhs)`` in lexicographic parameter
     order; the scan stops at the first cell whose sides differ and reports
     it as the counterexample.  A grid that yields no cell raises
-    ``ValueError``, so a pass always means that something was checked.
+    :class:`UsageError`, so a pass always means that something was checked.
     """
     count = 0
     for params, lhs, rhs in cells:
@@ -59,5 +64,5 @@ def scan(
             counterexample = {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
             return VerificationReport(identity, grid, count, "fail", counterexample)
     if not count:
-        raise ValueError(f"{identity}: the grid {grid} has no cells to check")
+        raise UsageError(f"{identity}: the grid {grid} has no cells to check")
     return VerificationReport(identity, grid, count, "pass")

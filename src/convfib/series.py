@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from convfib.poly import Poly, sum_of_products
+from convfib.report import UsageError
 
 Coeff = Union[Fraction, Poly]
 CoeffLike = Union[int, Fraction, Poly]
@@ -99,7 +100,7 @@ class Series:
         series simply does not know them).
         """
         if order < 0:
-            raise ValueError("order must be >= 0")
+            raise UsageError("order must be >= 0")
         coeffs = list(coefficients[: order + 1])
         coeffs.extend([0] * (order + 1 - len(coeffs)))
         return cls(coeffs)
@@ -148,9 +149,9 @@ class Series:
     def truncate(self, order: int) -> Series:
         """Forget everything beyond t**order."""
         if order < 0:
-            raise ValueError("order must be >= 0")
+            raise UsageError("order must be >= 0")
         if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} series to {order}")
+            raise UsageError(f"cannot extend order {self.order} series to {order}")
         return Series(self._coeffs[: order + 1])
 
     def _invert_coeff(self, c: Coeff) -> Coeff:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from convfib import cli
+from convfib import bench, cli, identities
 from convfib.fibonacci import fib
 from convfib.report import VerificationReport
 
@@ -216,6 +216,19 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "error: internal: RuntimeError: boom"
 
+    def test_internal_value_error_is_a_crash(self, capsys, monkeypatch):
+        """A ValueError that is not a UsageError is a bug, not a malformed request."""
+        def broken(**kw):
+            raise ValueError("bug inside a verifier")
+
+        monkeypatch.setattr(identities, "verify_cor2", broken)
+        code = cli.main(["verify", "cor2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "Traceback (most recent call last)" in captured.err
+        assert captured.err.splitlines()[-1] == "error: internal: ValueError: bug inside a verifier"
+
     def test_worker_count_is_clamped(self, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert cli._worker_count(3, 10) == 3
@@ -240,6 +253,59 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["status"] == "pass"
+
+
+# (argv, exit code, stderr): every malformed request exits 2, and a bench
+# cross-check that finds a disagreement exits 1.  {missing} is a path in a
+# directory that does not exist.
+REFUSALS = [
+    ("fib --from 5 --to 1", 2, "--from 5 exceeds --to 1"),
+    ("table --mode poly", 2, "--mode poly requires --n"),
+    ("table --mode poly --n 2 --format csv", 2, "the polynomial table is JSON only"),
+    ("table --mode values --n-max -1", 2, "n_max must be >= 0"),
+    ("table --mode triangle --n-max -1", 2, "n_max must be >= 0"),
+    ("table --mode poly --n -1", 2, "n must be >= 0"),
+    ("verify cor8 --x-min 3 --x-max 2", 2, "x_min 3 exceeds x_max 2"),
+    ("verify prop1 --x-min 5 --x-max 1", 2, "x_min 5 exceeds x_max 1"),
+    ("verify all --jobs 2 --x-min 5 --x-max 1", 2, "x_min 5 exceeds x_max 1"),
+    (
+        "verify thm7 --k-max -1", 2,
+        "thm7: the grid {'k_max': -1, 'n_max': 8, 'x_values': [1, 2, 3, 4, 5]} has no cells to check",
+    ),
+    (
+        "verify thm3 --r-max 0", 2,
+        "thm3: the grid {'n_max': 40, 'r_max': 0, 'x_values': "
+        "[-2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8]} has no cells to check",
+    ),
+    ("verify genfun --order 10 --jobs 0", 2, "--jobs must be >= 1, got 0"),
+    ("verify cor9 --N-max -1", 2, "n_max must be >= 0"),
+    ("verify thm6 --N-max 10 --order 5", 2, "need order >= 10, got 5"),
+    ("verify genfun --order 1", 2, "the generating-function check needs order >= 2"),
+    (
+        "verify genfun --order 10 --out {missing}", 2,
+        "cannot write --out: [Errno 2] No such file or directory: '{missing}'",
+    ),
+    ("bench --sizes -1", 2, "--sizes must be >= 0, got -1"),
+    ("bench --repeats 0", 2, "--repeats must be >= 1, got 0"),
+    ("bench --r 0", 2, "--r must be >= 1, got 0"),
+    ("bench --triangle-max -1", 2, "--triangle-max must be >= 0, got -1"),
+    (
+        "bench --sizes 5 --r 2 --skip-triangle", 1,
+        "value algorithms disagree at n=5, r=2: "
+        "{'nested-sum': -1, 'falling-recurrence': 13320, 'series-power': 13320}",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", REFUSALS, ids=[argv for argv, _, _ in REFUSALS])
+def test_refusal_exit_code_and_message(capsys, monkeypatch, tmp_path, argv, code, message):
+    # Only the last case gets as far as the cross-check that this breaks.
+    monkeypatch.setattr(bench, "conv_fib_by_nested_sum", lambda n, r: -1)
+    missing = str(tmp_path / "missing" / "x")
+    assert cli.main(argv.replace("{missing}", missing).split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.replace('{missing}', missing)}\n"
 
 
 class TestDeterminism:
@@ -306,7 +372,7 @@ TRACED_RUN = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracing import Tracer
-from convfib import cli
+from convfib import bench, cli, identities
 from convfib.fibonacci import fib
 tracer = Tracer()
 tracer.install()

@@ -3,6 +3,7 @@ sensitivity of every triangle-consuming check to a single wrong entry."""
 
 from __future__ import annotations
 
+import inspect
 from math import comb, factorial
 
 import pytest
@@ -226,3 +227,17 @@ class TestRunner:
     def test_thm6_short_order_raises(self):
         with pytest.raises(TruncationTooShort):
             verify_thm6(10, 5)
+
+    @pytest.mark.parametrize("name", [name for name in IDENTITY_NAMES if name != "genfun"])
+    def test_registry_defaults_match_the_verifier_signature(self, name):
+        """``verify_<name>()`` and ``run_identity(name)`` check the same grid."""
+        grid = dict(identities._REGISTRY[name][0])
+        if "x_min" in grid:
+            grid["x_values"] = range(grid.pop("x_min"), grid.pop("x_max") + 1)
+        signature = inspect.signature(getattr(identities, f"verify_{name}"))
+        defaults = {
+            key: param.default
+            for key, param in signature.parameters.items()
+            if key != "triangle"
+        }
+        assert defaults == grid

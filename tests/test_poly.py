@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convfib.poly import Poly, sum_of_products
@@ -155,6 +155,18 @@ class TestRandomizedAgainstFractionLists:
             assert hash(left) == hash(right)
             assert left.coefficients == right.coefficients
             assert str(left) == str(right)
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=RATIONALS)
+    @example(s=Fraction(0))
+    def test_constants_hash_as_their_value(self, s):
+        """A constant Poly, zero included, equals its int or Fraction value and hashes alike."""
+        values = (s, s.numerator) if s.denominator == 1 else (s,)
+        for value in values:
+            p = Poly.constant(value)
+            assert p == value
+            assert hash(p) == hash(value)
+            assert len({p, value}) == 1
 
     def test_reduced_fraction_inputs_are_one_polynomial(self):
         assert Poly([Fraction(2, 4)]) == Poly([Fraction(1, 2)])
