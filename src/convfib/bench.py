@@ -48,23 +48,17 @@ def _value_runners(n: int, depth: int) -> dict[str, Callable[[], int]]:
 
 def time_call(fn: Callable[[], object], min_seconds: float = 0.02, repeats: int = 3) -> float:
     """Best average seconds per call over ``repeats`` measurement windows."""
-    iterations = 1
-    while True:
+
+    def window(calls: int) -> float:
         start = time.perf_counter()
-        for _ in range(iterations):
+        for _ in range(calls):
             fn()
-        elapsed = time.perf_counter() - start
-        if elapsed >= min_seconds or iterations >= 1 << 20:
-            break
-        iterations *= 4
-    best = elapsed / iterations
-    for _ in range(repeats - 1):
-        start = time.perf_counter()
-        for _ in range(iterations):
-            fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed / iterations)
-    return best
+        return time.perf_counter() - start
+
+    calls = 1
+    while (elapsed := window(calls)) < min_seconds and calls < 1 << 20:
+        calls *= 4
+    return min([elapsed, *(window(calls) for _ in range(repeats - 1))]) / calls
 
 
 def run_bench(

@@ -4,8 +4,7 @@ Exit codes: 0 when everything passed, 1 when a verifier or benchmark
 cross-check reported a genuine failure, 2 for malformed usage (an argparse
 error or a :class:`~convfib.report.UsageError`), 3 for any other error (a
 crash, never a disagreement); commands raise, and :func:`main` alone maps
-an error to its code.  All big numbers are emitted as decimal strings; CSV
-output uses a header row, LF line endings and no quoting.
+an error to its code.  All big numbers are emitted as decimal strings.
 """
 
 from __future__ import annotations
@@ -13,11 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import Iterable, Optional
 
 from convfib import bench as bench_mod
 from convfib.convolved import CoeffTriangle, conv_fib_poly, conv_fib_row
@@ -53,50 +53,43 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         handle.write(text)
 
 
-def _csv(header: str, rows: list[str]) -> str:
-    return "".join(line + "\n" for line in [header, *rows])
-
-
 def _json_doc(payload: object) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _table(fields: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> str:
+    """CSV: a header row of ``fields``, then one row per line, LF endings, no
+    quoting.  JSON: a list of objects whose last field is a decimal string."""
+    if fmt == "json":
+        return _json_doc([dict(zip(fields, (*row[:-1], str(row[-1])))) for row in rows])
+    return "".join(",".join(map(str, row)) + "\n" for row in [fields, *rows])
 
 
 def cmd_fib(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
-    pairs = [(n, fib(n)) for n in range(args.start, args.stop + 1)]
-    if args.format == "json":
-        text = _json_doc([{"n": n, "F": str(value)} for n, value in pairs])
-    else:
-        text = _csv("n,F", [f"{n},{value}" for n, value in pairs])
-    _emit(text, args.out)
+    rows = [(n, fib(n)) for n in range(args.start, args.stop + 1)]
+    _emit(_table(("n", "F"), rows, args.format), args.out)
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    if args.format is None:
-        args.format = "json" if args.mode == "poly" else "csv"
+    fmt = args.format or ("json" if args.mode == "poly" else "csv")
     if args.mode == "values":
-        values = conv_fib_row(args.r, args.n_max)
-        if args.format == "json":
-            text = _json_doc([{"n": n, "r": args.r, "p": str(v)} for n, v in enumerate(values)])
-        else:
-            text = _csv("n,r,p", [f"{n},{args.r},{v}" for n, v in enumerate(values)])
+        rows = [(n, args.r, v) for n, v in enumerate(conv_fib_row(args.r, args.n_max))]
+        text = _table(("n", "r", "p"), rows, fmt)
     elif args.mode == "triangle":
         triangle = CoeffTriangle.from_recurrence(args.n_max)
-        cells = [
+        rows = [
             (n, i, a)
             for n in range(triangle.n_max + 1)
             for i, a in enumerate(triangle.row(n))
         ]
-        if args.format == "json":
-            text = _json_doc([{"N": n, "i": i, "a": str(a)} for n, i, a in cells])
-        else:
-            text = _csv("N,i,a", [f"{n},{i},{a}" for n, i, a in cells])
+        text = _table(("N", "i", "a"), rows, fmt)
     else:  # poly
         if args.n is None:
             raise UsageError("--mode poly requires --n")
-        if args.format == "csv":
+        if fmt == "csv":
             raise UsageError("the polynomial table is JSON only")
         text = _json_doc(conv_fib_poly(args.n).to_json_dict())
     _emit(text, args.out)
@@ -119,11 +112,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     workers = _worker_count(args.jobs, len(names))
     if workers > 1:
         # a spawned worker starts with the default digit limit
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_set_int_digits, initargs=(0,)
-        ) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_int_digits, initargs=(0,))
+        try:
             futures = [pool.submit(run_identity, name, **overrides) for name in names]
             reports = [f.result() for f in futures]
+        finally:
+            # after an error, verifiers that have not started never run
+            pool.shutdown(cancel_futures=True)
     else:
         reports = [run_identity(name, **overrides) for name in names]
     lines = [json.dumps(report.to_json_dict()) for report in reports]
@@ -140,18 +135,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--r must be >= 1, got {args.r}")
     if args.triangle_max < 0:
         raise UsageError(f"--triangle-max must be >= 0, got {args.triangle_max}")
-    rows = bench_mod.run_bench(
+    if not 0 <= args.min_time_ms < math.inf:
+        raise UsageError(f"--min-time-ms must be a finite number >= 0, got {args.min_time_ms}")
+    results = bench_mod.run_bench(
         args.sizes,
         depth=args.r,
         triangle_max=None if args.skip_triangle else args.triangle_max,
         min_seconds=args.min_time_ms / 1000.0,
         repeats=args.repeats,
     )
-    text = _csv(
-        "algorithm,params,seconds",
-        [f"{row.algorithm},{row.params},{row.seconds:.9f}" for row in rows],
-    )
-    _emit(text, args.out)
+    rows = [(row.algorithm, row.params, f"{row.seconds:.9f}") for row in results]
+    _emit(_table(("algorithm", "params", "seconds"), rows, "csv"), args.out)
     return 0
 
 
@@ -174,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fib.add_argument("--from", dest="start", type=int, required=True, help="first index")
     p_fib.add_argument("--to", dest="stop", type=int, required=True, help="last index")
     p_fib.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_fib.add_argument("--out", help="write to a file instead of stdout")
     p_fib.set_defaults(func=cmd_fib)
 
     p_table = sub.add_parser("table", help="emit value grids, the coefficient triangle, or p_N(x)")
@@ -185,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--format", choices=("csv", "json"), help="default: csv (values/triangle), json (poly)"
     )
-    p_table.add_argument("--out", help="write to a file instead of stdout")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run identity verifiers on exact grids")
@@ -198,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x-min", type=int)
     p_verify.add_argument("--x-max", type=int)
     p_verify.add_argument("--jobs", type=int, default=1, help="verifiers to run in parallel")
-    p_verify.add_argument("--out", help="write to a file instead of stdout")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="cross-check algorithms, then time them")
@@ -208,8 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--skip-triangle", action="store_true")
     p_bench.add_argument("--min-time-ms", type=float, default=20.0)
     p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument("--out", help="write to a file instead of stdout")
     p_bench.set_defaults(func=cmd_bench)
+
+    for command in sub.choices.values():
+        command.add_argument("--out", help="write to a file instead of stdout")
 
     return parser
 
@@ -226,18 +219,11 @@ def _set_int_digits(limit: int) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command.  Numbers of any length are read and written in
-    full; the caller's digit limit is restored on return."""
+    """Run one command and return its exit code.  Numbers of any length are
+    read and written in full; the caller's digit limit is restored on return."""
     previous = _set_int_digits(0)
     try:
-        return _main(argv)
-    finally:
-        _set_int_digits(previous)
-
-
-def _main(argv: Optional[list[str]]) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+        args = build_parser().parse_args(argv)
         if args.out:
             _check_out(args.out)
         return args.func(args)
@@ -252,6 +238,8 @@ def _main(argv: Optional[list[str]]) -> int:
         traceback.print_exc()
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        _set_int_digits(previous)
 
 
 if __name__ == "__main__":

@@ -72,7 +72,7 @@ def fib_pure(n: int) -> int:
     return a
 
 
-def fib_genfun_check(order: int) -> VerificationReport:
+def fib_genfun_check(order: int = 200) -> VerificationReport:
     """Cross-check the recurrence against 1/(1 - t - t^2).
 
     Inverts 1 - t - t^2 as a series, compares every coefficient with the

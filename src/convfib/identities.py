@@ -7,11 +7,14 @@ loops mirroring the summation structure, never by a shortcut, so each
 check really pits two different algorithms against each other.  Each
 verifier yields its cells in lexicographic parameter order and
 :func:`convfib.report.scan` reports the first failing cell as the
-counterexample.
+counterexample.  A verifier's signature is the one statement of its
+default grid; :func:`run_identity` runs a verifier by name and applies
+overrides on top of those defaults.
 """
 
 from __future__ import annotations
 
+import inspect
 from math import comb, factorial
 from typing import Iterable, Optional
 
@@ -252,23 +255,12 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
 
 # -- uniform runner -----------------------------------------------------------
 
-# name -> (default grid, whether the main bound is the triangle row /
-# derivative order N rather than the series index n).  Order is the
-# order of `verify all`.
-_REGISTRY: dict[str, tuple[dict[str, int], bool]] = {
-    "genfun": ({"order": 200}, False),
-    "prop1": ({"n_max": 50, "x_min": -3, "x_max": 8}, False),
-    "cor2": ({"n_max": 20, "r_max": 4}, False),
-    "thm3": ({"n_max": 40, "r_max": 6, "x_min": -2, "x_max": 8}, False),
-    "cor4": ({"n_max": 60, "r_max": 6}, False),
-    "thm5": ({"n_max": 25, "r_max": 4}, False),
-    "thm6": ({"n_max": 10, "order": 30}, True),
-    "thm7": ({"k_max": 20, "n_max": 8, "x_min": 1, "x_max": 5}, True),
-    "cor8": ({"n_max": 40, "x_min": -5, "x_max": 10}, True),
-    "cor9": ({"n_max": 50}, True),
-}
+# The order of `verify all`.  Each default grid is the verifier's signature.
+IDENTITY_NAMES = ("genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "thm6", "thm7", "cor8", "cor9")
 
-IDENTITY_NAMES = tuple(_REGISTRY)
+# Identities whose main bound ``n_max`` is the triangle row / derivative
+# order N rather than the series index n.
+_BIG_N_IDENTITIES = frozenset({"thm6", "thm7", "cor8", "cor9"})
 
 
 def run_identity(
@@ -282,30 +274,34 @@ def run_identity(
     x_min: Optional[int] = None,
     x_max: Optional[int] = None,
 ) -> VerificationReport:
-    """Run one named verifier on its default grid with optional overrides.
+    """Run one named verifier on the default grid of its signature, with
+    optional overrides.
 
     ``big_n_max`` overrides the row/derivative bound of the identities
     indexed by N; ``n_max`` overrides the series-index bound of the rest.
+    ``x_min``/``x_max`` replace an end of the default ``x_values`` range.
     Overrides that an identity does not use are ignored.  An inverted
     x range raises :class:`~convfib.report.UsageError`.
     """
-    if name not in _REGISTRY:
+    if name not in IDENTITY_NAMES:
         raise KeyError(f"unknown identity {name!r} (choose from {', '.join(IDENTITY_NAMES)})")
-    defaults, big_n = _REGISTRY[name]
+    # Looked up at call time, so a rebound module global is the one called.
+    verifier = globals()["fib_genfun_check" if name == "genfun" else f"verify_{name}"]
+    parameters = inspect.signature(verifier).parameters
     overrides = {
-        "n_max": big_n_max if big_n else n_max,
+        "n_max": big_n_max if name in _BIG_N_IDENTITIES else n_max,
         "k_max": k_max,
         "r_max": r_max,
         "order": order,
-        "x_min": x_min,
-        "x_max": x_max,
     }
-    params = {key: defaults[key] if overrides[key] is None else overrides[key] for key in defaults}
-    if "x_min" in params:
-        lo, hi = params.pop("x_min"), params.pop("x_max")
+    params = {
+        key: value for key, value in overrides.items() if key in parameters and value is not None
+    }
+    if "x_values" in parameters:
+        default = parameters["x_values"].default
+        lo = default[0] if x_min is None else x_min
+        hi = default[-1] if x_max is None else x_max
         if lo > hi:
             raise UsageError(f"x_min {lo} exceeds x_max {hi}")
         params["x_values"] = range(lo, hi + 1)
-    # Looked up at call time, so a rebound module global is the one called.
-    verifier = globals()["fib_genfun_check" if name == "genfun" else f"verify_{name}"]
     return verifier(**params)

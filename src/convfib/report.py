@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Optional
 
 
@@ -38,13 +38,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "identity": self.identity,
-            "grid": self.grid,
-            "cells": self.cells,
-            "status": self.status,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def scan(

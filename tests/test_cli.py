@@ -5,9 +5,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +19,8 @@ import pytest
 
 from convfib import bench, cli, identities
 from convfib.fibonacci import fib
-from convfib.report import VerificationReport
+from convfib.identities import IDENTITY_NAMES
+from convfib.report import UsageError, VerificationReport
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -141,6 +146,56 @@ class TestVerify:
         code_parallel, out_parallel = run_cli(capsys, *args, "--jobs", "2")
         assert code_serial == code_parallel == 0
         assert out_serial == out_parallel
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="patched verifiers reach only forked workers",
+    )
+    def test_parallel_run_stops_at_the_first_error(self, capsys, monkeypatch, tmp_path):
+        """Verifiers still queued when an earlier one raises never run.
+
+        genfun raises at once; every other verifier leaves a marker file and
+        then blocks until the pool is shut down and no submitted verifier is
+        still queued, so the markers count exactly the verifiers that started.
+        """
+        release = multiprocessing.Event()
+        submitted = []
+
+        class Pool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(super().submit(*args, **kwargs))
+                return submitted[-1]
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                def release_once_settled():
+                    # a queued future is neither running nor done
+                    while cancel_futures and not all(f.running() or f.done() for f in submitted):
+                        time.sleep(0.01)
+                    release.set()
+
+                threading.Thread(target=release_once_settled).start()
+                super().shutdown(wait, cancel_futures=cancel_futures)
+
+        def refuse(**params):
+            raise UsageError("refused")
+
+        def marking(name):
+            def verifier(**params):
+                (tmp_path / name).touch()
+                release.wait(60)
+                return VerificationReport(name, {}, 1, "pass")
+
+            return verifier
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(identities, "fib_genfun_check", refuse)
+        for name in IDENTITY_NAMES[1:]:
+            monkeypatch.setattr(identities, f"verify_{name}", marking(name))
+        assert cli.main(["verify", "all", "--jobs", "2"]) == 2
+        assert capsys.readouterr().err == "error: refused\n"
+        started = len(list(tmp_path.iterdir()))
+        assert 0 < started < len(IDENTITY_NAMES) - 1
 
     def test_unknown_identity_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -289,6 +344,9 @@ REFUSALS = [
     ("bench --repeats 0", 2, "--repeats must be >= 1, got 0"),
     ("bench --r 0", 2, "--r must be >= 1, got 0"),
     ("bench --triangle-max -1", 2, "--triangle-max must be >= 0, got -1"),
+    ("bench --min-time-ms nan", 2, "--min-time-ms must be a finite number >= 0, got nan"),
+    ("bench --min-time-ms inf", 2, "--min-time-ms must be a finite number >= 0, got inf"),
+    ("bench --min-time-ms -1", 2, "--min-time-ms must be a finite number >= 0, got -1.0"),
     (
         "bench --sizes 5 --r 2 --skip-triangle", 1,
         "value algorithms disagree at n=5, r=2: "

@@ -3,6 +3,7 @@ sensitivity of every triangle-consuming check to a single wrong entry."""
 
 from __future__ import annotations
 
+import functools
 import inspect
 from math import comb, factorial
 
@@ -228,16 +229,24 @@ class TestRunner:
         with pytest.raises(TruncationTooShort):
             verify_thm6(10, 5)
 
-    @pytest.mark.parametrize("name", [name for name in IDENTITY_NAMES if name != "genfun"])
-    def test_registry_defaults_match_the_verifier_signature(self, name):
-        """``verify_<name>()`` and ``run_identity(name)`` check the same grid."""
-        grid = dict(identities._REGISTRY[name][0])
-        if "x_min" in grid:
-            grid["x_values"] = range(grid.pop("x_min"), grid.pop("x_max") + 1)
-        signature = inspect.signature(getattr(identities, f"verify_{name}"))
-        defaults = {
-            key: param.default
-            for key, param in signature.parameters.items()
-            if key != "triangle"
-        }
-        assert defaults == grid
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_registry_defaults_match_the_verifier_signature(self, monkeypatch, name):
+        """``run_identity(name)`` calls the verifier with exactly the defaults
+        of its signature, read through a ``functools.wraps`` wrapper."""
+        attr = "fib_genfun_check" if name == "genfun" else f"verify_{name}"
+        signature = inspect.signature(getattr(identities, attr))
+        calls = []
+
+        @functools.wraps(getattr(identities, attr))
+        def recording(**params):
+            calls.append(params)
+
+        monkeypatch.setattr(identities, attr, recording)
+        run_identity(name)
+        bound = signature.bind(**calls[0])
+        bound.apply_defaults()
+        assert bound.arguments == {key: p.default for key, p in signature.parameters.items()}
+
+    def test_one_x_override_keeps_the_other_default_end(self):
+        assert run_identity("prop1", n_max=2, x_min=2).grid["x_values"] == [2, 3, 4, 5, 6, 7, 8]
+        assert run_identity("thm7", k_max=1, big_n_max=1, x_max=3).grid["x_values"] == [1, 2, 3]
