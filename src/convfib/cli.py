@@ -4,7 +4,8 @@ Exit codes: 0 when everything passed, 1 when a verifier or benchmark
 cross-check reported a genuine failure, 2 for malformed usage (an argparse
 error or a :class:`~convfib.report.UsageError`), 3 for any other error (a
 crash, never a disagreement); commands raise, and :func:`main` alone maps
-an error to its code.  All big numbers are emitted as decimal strings.
+an error to its code.  ``verify --jobs`` reports in identity order, and its
+first error ends every worker.  All big numbers are emitted as decimal strings.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import argparse
 import functools
 import json
 import math
+import multiprocessing
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Optional
 
 from convfib import bench as bench_mod
@@ -109,18 +110,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         key: getattr(args, key)
         for key in ("n_max", "big_n_max", "k_max", "r_max", "order", "x_min", "x_max")
     }
+    run = functools.partial(run_identity, **overrides)
     workers = _worker_count(args.jobs, len(names))
     if workers > 1:
-        # a spawned worker starts with the default digit limit
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=_set_int_digits, initargs=(0,))
-        try:
-            futures = [pool.submit(run_identity, name, **overrides) for name in names]
-            reports = [f.result() for f in futures]
-        finally:
-            # after an error, verifiers that have not started never run
-            pool.shutdown(cancel_futures=True)
+        # a spawned worker starts with the default digit limit; leaving the block ends every worker
+        with multiprocessing.Pool(workers, _set_int_digits, (0,)) as pool:
+            reports = list(pool.imap(run, names))
     else:
-        reports = [run_identity(name, **overrides) for name in names]
+        reports = list(map(run, names))
     lines = [json.dumps(report.to_json_dict()) for report in reports]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0 if all(report.passed for report in reports) else 1
@@ -137,6 +134,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--triangle-max must be >= 0, got {args.triangle_max}")
     if not 0 <= args.min_time_ms < math.inf:
         raise UsageError(f"--min-time-ms must be a finite number >= 0, got {args.min_time_ms}")
+    if args.min_time_ms > 10_000:
+        raise UsageError(f"--min-time-ms must be at most 10000, got {args.min_time_ms}")
     results = bench_mod.run_bench(
         args.sizes,
         depth=args.r,

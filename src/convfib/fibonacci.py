@@ -18,8 +18,8 @@ class FibTable:
     """Memoized two-sided Fibonacci table.
 
     Reads are safe from any thread; extending the stored range takes an
-    internal lock (single writer).  Extension only adds entries, so
-    concurrent readers never observe a partially updated value.
+    internal lock (single writer).  Each value is stored before the bound
+    moves past its index, so a reader never sees an index before its value.
     """
 
     def __init__(self) -> None:
@@ -41,11 +41,11 @@ class FibTable:
         with self._lock:
             values = self._values
             while self._hi < n:
+                values[self._hi + 1] = values[self._hi] + values[self._hi - 1]
                 self._hi += 1
-                values[self._hi] = values[self._hi - 1] + values[self._hi - 2]
             while self._lo > n:
+                values[self._lo - 1] = values[self._lo + 1] - values[self._lo]
                 self._lo -= 1
-                values[self._lo] = values[self._lo + 2] - values[self._lo + 1]
 
 
 _TABLE = FibTable()

@@ -41,7 +41,8 @@ class TestRunBench:
 
 class TestCliBench:
     def test_header_only_for_empty_grid(self, capsys):
-        code = cli.main(["bench", "--sizes", "", "--skip-triangle"])
+        # the --min-time-ms ceiling itself is accepted
+        code = cli.main(["bench", "--sizes", "", "--skip-triangle", "--min-time-ms", "10000"])
         assert code == 0
         assert capsys.readouterr().out == "algorithm,params,seconds\n"
 

@@ -89,3 +89,21 @@ class TestTableConcurrency:
             assert value == fib_pure(n)
         lo, hi = table.bounds
         assert lo <= -120 and hi >= 120
+
+    def test_reader_never_sees_an_index_before_its_value(self):
+        """Each store reads every index inside the bounds: the table stores
+        a value before its bound admits the index, in both directions."""
+        table = FibTable()
+        probed = []
+
+        class Probing(dict):
+            def __setitem__(self, key, value):
+                lo, hi = table.bounds
+                probed.extend((k, table.value(k)) for k in range(lo, hi + 1))
+                super().__setitem__(key, value)
+
+        table._values = Probing(table._values)
+        assert table.value(8) == fib_pure(8)
+        assert table.value(-8) == fib_pure(-8)
+        assert len(probed) > 16
+        assert all(value == fib_pure(k) for k, value in probed)
