@@ -18,6 +18,7 @@ from convfib.convolved import (
     conv_fib_poly_oracle,
     conv_fib_row,
     conv_fib_row_by_recurrence,
+    conv_fib_row_holonomic,
     factorial_powers,
     rising_factorial_poly,
     triangle_closed,
@@ -31,6 +32,7 @@ from convfib.identities import (
     verify_cor4,
     verify_cor8,
     verify_cor9,
+    verify_holo,
     verify_prop1,
     verify_thm3,
     verify_thm5,
@@ -63,6 +65,7 @@ __all__ = [
     "conv_fib_poly_oracle",
     "conv_fib_row",
     "conv_fib_row_by_recurrence",
+    "conv_fib_row_holonomic",
     "factorial_powers",
     "fib",
     "fib_genfun_check",
@@ -75,6 +78,7 @@ __all__ = [
     "verify_cor4",
     "verify_cor8",
     "verify_cor9",
+    "verify_holo",
     "verify_prop1",
     "verify_thm3",
     "verify_thm5",

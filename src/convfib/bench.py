@@ -3,8 +3,9 @@
 Every cell is cross-checked for equality across all algorithms before any
 timing is taken; a benchmark of wrong results is refused.  Reported times
 are best-of-``repeats`` averages over enough iterations to pass a minimum
-measurement window, so the asymptotic shape (nested sums ~ n**r against
-series powers ~ n**2) is visible even for sub-millisecond cells.
+measurement window, so the asymptotic shape (nested sums ~ n**r, series
+powers ~ n**2, the three-term recurrence n steps) is visible even for
+sub-millisecond cells.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from convfib.convolved import (
     conv_fib_by_nested_sum,
     conv_fib_row,
     conv_fib_row_by_recurrence,
+    conv_fib_row_holonomic,
 )
 from convfib.fibonacci import fib
 from convfib.report import UsageError
 
-VALUE_ALGORITHMS = ("nested-sum", "falling-recurrence", "series-power")
+VALUE_ALGORITHMS = ("nested-sum", "falling-recurrence", "series-power", "holonomic")
 TRIANGLE_ALGORITHMS = ("triangle-recurrence", "triangle-closed")
 
 
@@ -38,11 +40,12 @@ class CrossCheckFailure(RuntimeError):
 
 
 def _value_runners(n: int, depth: int) -> dict[str, Callable[[], int]]:
-    # Each runner computes p_n(depth + 1) from scratch.
+    # Each runner computes p_n(depth + 1) from scratch; none reads the conv_fib cache.
     return {
         "nested-sum": lambda: conv_fib_by_nested_sum(n, depth + 1),
         "falling-recurrence": lambda: conv_fib_row_by_recurrence(depth + 1, n)[n],
         "series-power": lambda: conv_fib_row(depth + 1, n)[n],
+        "holonomic": lambda: conv_fib_row_holonomic(depth + 1, n)[n],
     }
 
 

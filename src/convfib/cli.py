@@ -5,7 +5,9 @@ cross-check reported a genuine failure, 2 for malformed usage (an argparse
 error or a :class:`~convfib.report.UsageError`), 3 for any other error (a
 crash, never a disagreement); commands raise, and :func:`main` alone maps
 an error to its code.  ``verify --jobs`` reports in identity order, and its
-first error ends every worker.  All big numbers are emitted as decimal strings.
+first error ends every worker; ``verify --timings`` writes each identity's
+seconds, timed in the process that ran it, to stderr only.  All big numbers
+are emitted as decimal strings.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import multiprocessing
 import os
 import sys
+import time
 import traceback
 from typing import Iterable, Optional
 
@@ -104,20 +107,31 @@ def _worker_count(jobs: int, tasks: int) -> int:
     return min(jobs, tasks, os.cpu_count() or 1)
 
 
+def _timed(run, name: str):
+    """``run(name)`` and the seconds it took, measured where it runs."""
+    start = time.perf_counter()
+    report = run(name)
+    return report, time.perf_counter() - start
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     names = list(IDENTITY_NAMES) if args.identity == "all" else [args.identity]
     overrides = {
         key: getattr(args, key)
         for key in ("n_max", "big_n_max", "k_max", "r_max", "order", "x_min", "x_max")
     }
-    run = functools.partial(run_identity, **overrides)
+    run = functools.partial(_timed, functools.partial(run_identity, **overrides))
     workers = _worker_count(args.jobs, len(names))
     if workers > 1:
         # a spawned worker starts with the default digit limit; leaving the block ends every worker
         with multiprocessing.Pool(workers, _set_int_digits, (0,)) as pool:
-            reports = list(pool.imap(run, names))
+            results = list(pool.imap(run, names))
     else:
-        reports = list(map(run, names))
+        results = list(map(run, names))
+    reports = [report for report, _ in results]
+    if args.timings:
+        for report, seconds in results:
+            print(f"{report.identity}: {seconds:.3f} s, {report.cells} cells", file=sys.stderr)
     lines = [json.dumps(report.to_json_dict()) for report in reports]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0 if all(report.passed for report in reports) else 1
@@ -189,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x-min", type=int)
     p_verify.add_argument("--x-max", type=int)
     p_verify.add_argument("--jobs", type=int, default=1, help="verifiers to run in parallel")
+    p_verify.add_argument(
+        "--timings", action="store_true", help="print each identity's seconds and cells on stderr"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="cross-check algorithms, then time them")

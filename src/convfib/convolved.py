@@ -4,9 +4,14 @@ The numbers are defined by the generating function
 
     (1 - t - t**2) ** (-x)  =  sum_n p_n(x) t**n / n!
 
-For integer arguments r this module computes p_n(r) three independent
-ways: by extracting series coefficients (the workhorse), by literally
-evaluating the nested Fibonacci convolution sums, and by iterating the
+For integer arguments r this module computes p_n(r) four independent
+ways: by the three-term recurrence
+
+    p_{n+1}(r) = (n + r) p_n(r) + n(n + 2r - 1) p_{n-1}(r),  p_0 = 1, p_1 = r,
+
+which the ODE (1 - t - t**2) F' = x(1 + 2t) F gives (the workhorse behind
+:func:`conv_fib`); by extracting series coefficients; by literally
+evaluating the nested Fibonacci convolution sums; and by iterating the
 falling-factorial recurrence p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l.
 
 Repeated t-differentiation of the generating function produces a triangle
@@ -78,6 +83,22 @@ def conv_fib_row(r: int, n_max: int) -> list[int]:
     return out
 
 
+def _extend_holonomic(row: list[int], r: int, n: int) -> None:
+    """Append p_m(r) to ``row`` = [p_0(r), ..., p_k(r)], k >= 1, for m up to n
+    by the three-term step; one integer step per value."""
+    for m in range(len(row) - 1, n):
+        row.append((m + r) * row[m] + m * (m + 2 * r - 1) * row[m - 1])
+
+
+def conv_fib_row_holonomic(r: int, n_max: int) -> list[int]:
+    """[p_0(r), ..., p_{n_max}(r)] built afresh by the three-term recurrence."""
+    if n_max < 0:
+        raise UsageError("n_max must be >= 0")
+    row = [1, r]
+    _extend_holonomic(row, r, n_max)
+    return row[: n_max + 1]
+
+
 _rows: dict[int, list[int]] = {}
 _rows_lock = threading.Lock()
 
@@ -85,19 +106,17 @@ _rows_lock = threading.Lock()
 def conv_fib(n: int, r: int) -> int:
     """p_n(r) = n! * [t^n] (1 - t - t^2)**(-r) for any signed integer r.
 
-    Expansions are cached per argument and extended geometrically, so
-    sweeping n upward costs amortized one series power.
+    Values are cached per argument; a miss extends the row under a lock by
+    the three-term recurrence, exactly as far as asked.  Rows only grow, so
+    a reader that finds index n present reads a finished value.
     """
     if n < 0:
         raise UsageError("n must be >= 0")
     row = _rows.get(r)
     if row is None or len(row) <= n:
         with _rows_lock:
-            row = _rows.get(r)
-            if row is None or len(row) <= n:
-                have = len(row) if row else 0
-                row = conv_fib_row(r, max(2 * n, 2 * have, 16))
-                _rows[r] = row
+            row = _rows.setdefault(r, [1, r])
+            _extend_holonomic(row, r, n)
     return row[n]
 
 

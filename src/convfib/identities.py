@@ -27,6 +27,7 @@ from convfib.convolved import (
     conv_fib_poly,
     conv_fib_poly_genfun,
     conv_fib_poly_oracle,
+    conv_fib_row,
     factorial_powers,
     rising_factorial_poly,
 )
@@ -253,10 +254,25 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
     return scan("cor9", {"n_max": n_max}, cells())
 
 
+def verify_holo(n_max: int = 40, r_max: int = 9) -> VerificationReport:
+    """p_n(r) from the cached three-term recurrence against n! [t^n] of the
+    series power (1 - t - t^2)**(-r), one power per r in [-r_max, r_max]."""
+
+    def cells():
+        for r in range(-r_max, r_max + 1):
+            row = conv_fib_row(r, n_max)
+            for n in range(n_max + 1):
+                yield {"r": r, "n": n}, conv_fib(n, r), row[n]
+
+    return scan("holo", {"n_max": n_max, "r_max": r_max}, cells())
+
+
 # -- uniform runner -----------------------------------------------------------
 
 # The order of `verify all`.  Each default grid is the verifier's signature.
-IDENTITY_NAMES = ("genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "thm6", "thm7", "cor8", "cor9")
+IDENTITY_NAMES = (
+    "genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "thm6", "thm7", "cor8", "cor9", "holo"
+)
 
 # Identities whose main bound ``n_max`` is the triangle row / derivative
 # order N rather than the series index n.

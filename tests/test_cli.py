@@ -184,20 +184,28 @@ class TestVerify:
         assert code == 0
         assert out.encode() == (GOLDEN / "verify_all.ndjson").read_bytes()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("verify", "cor8", "--x-min", "3", "--x-max", "2"),
-            ("verify", "prop1", "--x-min", "5", "--x-max", "1"),
-            ("verify", "thm7", "--k-max", "-1"),
-            ("verify", "thm3", "--r-max", "0"),
-            ("verify", "genfun", "--order", "10", "--jobs", "0"),
-        ],
-    )
-    def test_empty_grid_or_bad_jobs_is_usage_error(self, capsys, argv):
-        code, out = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
+    def test_timings_leave_stdout_byte_identical(self, capsys):
+        """--timings writes one stderr line per identity; stdout stays the golden file."""
+        assert cli.main(["verify", "all", "--timings"]) == 0
+        captured = capsys.readouterr()
+        golden = (GOLDEN / "verify_all.ndjson").read_bytes()
+        assert captured.out.encode() == golden
+        pattern = r"(\w+): \d+\.\d{3} s, (\d+) cells"
+        timed = [re.fullmatch(pattern, line) for line in captured.err.splitlines()]
+        assert all(timed), captured.err
+        reports = [json.loads(line) for line in golden.splitlines()]
+        assert [m.groups() for m in timed] == [(d["identity"], str(d["cells"])) for d in reports]
+
+    def test_parallel_run_reports_timings_too(self, capsys):
+        args = ["verify", "all", "--n-max", "5", "--N-max", "3", "--k-max", "3",
+                "--r-max", "2", "--order", "8", "--jobs", "2"]
+        code, out = run_cli(capsys, *args)
+        assert code == 0
+        assert cli.main([*args, "--timings"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == out
+        names = [line.split(":")[0] for line in captured.err.splitlines()]
+        assert names == list(IDENTITY_NAMES)
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x"
@@ -316,8 +324,8 @@ REFUSALS = [
     ("bench --min-time-ms 1e9", 2, "--min-time-ms must be at most 10000, got 1000000000.0"),
     (
         "bench --sizes 5 --r 2 --skip-triangle", 1,
-        "value algorithms disagree at n=5, r=2: "
-        "{'nested-sum': -1, 'falling-recurrence': 13320, 'series-power': 13320}",
+        "value algorithms disagree at n=5, r=2: {'nested-sum': -1, "
+        "'falling-recurrence': 13320, 'series-power': 13320, 'holonomic': 13320}",
     ),
 ]
 

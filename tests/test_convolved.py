@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import factorial
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convfib import convolved
 from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
@@ -22,6 +27,7 @@ from convfib.convolved import (
     conv_fib_poly_oracle,
     conv_fib_row,
     conv_fib_row_by_recurrence,
+    conv_fib_row_holonomic,
     factorial_powers,
     rising_factorial_poly,
     triangle_closed,
@@ -98,6 +104,69 @@ class TestThreeAlgorithms:
     def test_recurrence_needs_positive_argument(self):
         with pytest.raises(ValueError):
             conv_fib_row_by_recurrence(0, 3)
+
+
+N_TOP = 200
+ARGUMENTS = range(-9, 10)
+
+
+@functools.cache
+def series_row(r: int) -> tuple[int, ...]:
+    """[p_0(r), ..., p_200(r)] from one series power, built once per r."""
+    return tuple(conv_fib_row(r, N_TOP))
+
+
+def empty_cache():
+    """conv_fib starts from no cached rows; the rows cached before come back after."""
+    return patch.dict(convolved._rows, clear=True)
+
+
+class TestRowCache:
+    """conv_fib grows its rows by the three-term recurrence; the series power
+    and the falling-factorial step check every value it gives."""
+
+    def test_upward_reads_match_series_and_falling_step(self):
+        with empty_cache():
+            for r in ARGUMENTS:
+                values = [conv_fib(n, r) for n in range(N_TOP + 1)]
+                assert values == list(series_row(r)), r
+                if r >= 1:
+                    assert values == conv_fib_row_by_recurrence(r, N_TOP), r
+
+    def test_fresh_row_matches_series(self):
+        for r in ARGUMENTS:
+            assert conv_fib_row_holonomic(r, N_TOP) == list(series_row(r)), r
+        assert conv_fib_row_holonomic(5, 0) == [1]
+        with pytest.raises(ValueError):
+            conv_fib_row_holonomic(5, -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, N_TOP), st.sampled_from(ARGUMENTS)), max_size=40))
+    def test_any_read_order_gives_series_values(self, reads):
+        """Reads as drawn (r interleaved), then by descending n, each on an
+        empty cache, so every extension starts from every kind of row."""
+        for order in (reads, sorted(reads, reverse=True)):
+            with empty_cache():
+                for n, r in order:
+                    assert conv_fib(n, r) == series_row(r)[n], (n, r)
+
+    def test_parallel_reads_and_extensions(self):
+        """Eight threads at a time read one argument's row upward from an empty
+        cache, so nearly every call extends a row that others extend too."""
+        tasks = [r for r in ARGUMENTS for _ in range(8)]
+
+        def read_upward(r: int) -> tuple[int, list[int]]:
+            return r, [conv_fib(n, r) for n in range(N_TOP + 1)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with empty_cache(), ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(read_upward, tasks))
+        finally:
+            sys.setswitchinterval(interval)
+        for r, values in results:
+            assert values == list(series_row(r)), r
 
 
 def finite_power_row(m: int, n_max: int) -> list[int]:

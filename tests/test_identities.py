@@ -20,6 +20,7 @@ from convfib.identities import (
     verify_cor4,
     verify_cor8,
     verify_cor9,
+    verify_holo,
     verify_prop1,
     verify_thm3,
     verify_thm5,
@@ -73,6 +74,41 @@ class TestGridsPass:
 
     def test_cor9(self):
         assert verify_cor9(25).passed
+
+    def test_holo(self):
+        report = verify_holo(12, 4)
+        assert report.passed
+        assert report.cells == 9 * 13
+
+
+class TestHolo:
+    """holo sets the cached recurrence against one series power per r."""
+
+    def test_off_by_one_series_row_fails_at_its_last_index(self, monkeypatch):
+        def off_by_one(r, n_max):
+            row = convolved.conv_fib_row(r, n_max)
+            row[-1] += 1
+            return row
+
+        monkeypatch.setattr(identities, "conv_fib_row", off_by_one)
+        report = verify_holo(10, 3)
+        assert report.status == "fail"
+        assert report.counterexample["params"] == {"r": -3, "n": 10}
+        assert report.cells == 11
+
+    def test_wrong_cached_value_fails_at_its_cell(self, monkeypatch):
+        def wrong_at_5_2(n, r):
+            return conv_fib(n, r) + ((n, r) == (5, 2))
+
+        monkeypatch.setattr(identities, "conv_fib", wrong_at_5_2)
+        report = verify_holo(10, 3)
+        assert report.counterexample["params"] == {"r": 2, "n": 5}
+        assert report.cells == 5 * 11 + 6
+
+    def test_overrides_reach_the_grid(self):
+        assert run_identity("holo", n_max=3, r_max=1).grid == {"n_max": 3, "r_max": 1}
+        with pytest.raises(ValueError):
+            run_identity("holo", r_max=-1)
 
 
 class TestTrivialReductions:
