@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from convfib.convolved import (
@@ -24,8 +25,18 @@ from convfib.convolved import (
 from convfib.fibonacci import fib
 from convfib.report import UsageError
 
-VALUE_ALGORITHMS = ("nested-sum", "falling-recurrence", "series-power", "holonomic")
-TRIANGLE_ALGORITHMS = ("triangle-recurrence", "triangle-closed")
+# Each value runner computes p_n(depth + 1) from scratch; none reads the
+# conv_fib cache.  Runners name module globals, looked up at call time.
+VALUE_ALGORITHMS: dict[str, Callable[[int, int], int]] = {
+    "nested-sum": lambda n, depth: conv_fib_by_nested_sum(n, depth + 1),
+    "falling-recurrence": lambda n, depth: conv_fib_row_by_recurrence(depth + 1, n)[n],
+    "series-power": lambda n, depth: conv_fib_row(depth + 1, n)[n],
+    "holonomic": lambda n, depth: conv_fib_row_holonomic(depth + 1, n)[n],
+}
+TRIANGLE_ALGORITHMS: dict[str, Callable[[int], CoeffTriangle]] = {
+    "triangle-recurrence": lambda n_max: CoeffTriangle.from_recurrence(n_max),
+    "triangle-closed": lambda n_max: CoeffTriangle.from_closed_form(n_max),
+}
 
 
 @dataclass(frozen=True)
@@ -37,16 +48,6 @@ class BenchRow:
 
 class CrossCheckFailure(RuntimeError):
     """Two algorithms disagreed on a cell; timings were not produced."""
-
-
-def _value_runners(n: int, depth: int) -> dict[str, Callable[[], int]]:
-    # Each runner computes p_n(depth + 1) from scratch; none reads the conv_fib cache.
-    return {
-        "nested-sum": lambda: conv_fib_by_nested_sum(n, depth + 1),
-        "falling-recurrence": lambda: conv_fib_row_by_recurrence(depth + 1, n)[n],
-        "series-power": lambda: conv_fib_row(depth + 1, n)[n],
-        "holonomic": lambda: conv_fib_row_holonomic(depth + 1, n)[n],
-    }
 
 
 def time_call(fn: Callable[[], object], min_seconds: float = 0.02, repeats: int = 3) -> float:
@@ -83,29 +84,21 @@ def run_bench(
     if sizes:
         fib(max(sizes))  # warm the Fibonacci table so timings exclude it
     for n in sizes:
-        runners = _value_runners(n, depth)
-        results = {name: runner() for name, runner in runners.items()}
-        values = set(results.values())
-        if len(values) > 1:
+        results = {name: runner(n, depth) for name, runner in VALUE_ALGORITHMS.items()}
+        if len(set(results.values())) > 1:
             raise CrossCheckFailure(f"value algorithms disagree at n={n}, r={depth}: {results}")
     if triangle_max is not None:
-        by_rec = CoeffTriangle.from_recurrence(triangle_max)
-        by_closed = CoeffTriangle.from_closed_form(triangle_max)
-        if by_rec != by_closed:
+        triangles = [build(triangle_max) for build in TRIANGLE_ALGORITHMS.values()]
+        if any(triangle != triangles[0] for triangle in triangles):
             raise CrossCheckFailure(f"triangle algorithms disagree below N={triangle_max}")
 
     rows: list[BenchRow] = []
     for n in sizes:
-        runners = _value_runners(n, depth)
-        for name in VALUE_ALGORITHMS:
-            seconds = time_call(runners[name], min_seconds, repeats)
+        for name, runner in VALUE_ALGORITHMS.items():
+            seconds = time_call(partial(runner, n, depth), min_seconds, repeats)
             rows.append(BenchRow(name, f"n={n};r={depth}", seconds))
     if triangle_max is not None:
-        timed = {
-            "triangle-recurrence": lambda: CoeffTriangle.from_recurrence(triangle_max),
-            "triangle-closed": lambda: CoeffTriangle.from_closed_form(triangle_max),
-        }
-        for name in TRIANGLE_ALGORITHMS:
-            seconds = time_call(timed[name], min_seconds, repeats)
+        for name, build in TRIANGLE_ALGORITHMS.items():
+            seconds = time_call(partial(build, triangle_max), min_seconds, repeats)
             rows.append(BenchRow(name, f"N_max={triangle_max}", seconds))
     return rows

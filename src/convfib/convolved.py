@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import factorial
 from typing import Iterator
 
-from convfib.fibonacci import fib
+from convfib.fibonacci import base_series, fib
 from convfib.poly import Poly
 from convfib.report import UsageError
 from convfib.series import Series
@@ -50,11 +50,6 @@ class TruncationTooShort(UsageError):
 
 class IndexOutOfTriangle(IndexError):
     """Asked for a_i(N) with i outside 0 <= i <= floor((N+1)/2)."""
-
-
-def base_series(order: int) -> Series:
-    """1 - t - t^2 as a rational series of the given order."""
-    return Series.from_polynomial((1, -1, -1), order)
 
 
 def _exact_int(value: Fraction) -> int:

@@ -51,6 +51,11 @@ class FibTable:
 _TABLE = FibTable()
 
 
+def base_series(order: int) -> Series:
+    """1 - t - t^2 as a rational series of the given order."""
+    return Series.from_polynomial((1, -1, -1), order)
+
+
 def fib(n: int) -> int:
     """F_n for any signed index, from the shared memoized table."""
     return _TABLE.value(n)
@@ -81,7 +86,7 @@ def fib_genfun_check(order: int = 200) -> VerificationReport:
     """
     if order < 2:
         raise UsageError("the generating-function check needs order >= 2")
-    coeffs = Series.from_polynomial((1, -1, -1), order).inverse().coefficients
+    coeffs = base_series(order).inverse().coefficients
 
     def cells():
         for k, c in enumerate(coeffs):

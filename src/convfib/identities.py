@@ -21,7 +21,6 @@ from typing import Iterable, Optional
 from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
-    base_series,
     conv_fib,
     conv_fib_by_nested_sum,
     conv_fib_poly,
@@ -31,7 +30,7 @@ from convfib.convolved import (
     factorial_powers,
     rising_factorial_poly,
 )
-from convfib.fibonacci import fib, fib_genfun_check
+from convfib.fibonacci import base_series, fib, fib_genfun_check
 from convfib.report import UsageError, VerificationReport, scan
 from convfib.series import Series
 
@@ -73,23 +72,24 @@ def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
 def verify_thm3(
     n_max: int = 40, r_max: int = 6, x_values: Iterable[int] = range(-2, 9)
 ) -> VerificationReport:
-    """p_n(x) = sum_l C(n,l) p_l(r) p_{n-l}(x-r), in both stated orderings."""
+    """p_n(x) = sum_l C(n,l) p_l(r) p_{n-l}(x-r).
+
+    The paper also states the ordering sum_l C(n,l) p_{n-l}(r) p_l(x-r).
+    Since C(n,l) = C(n,n-l), the substitution l -> n-l maps it onto this
+    sum term for term, whatever values p takes, so it is not summed again.
+    """
     xs = sorted(x_values)
-
-    def cells():
-        for n in range(n_max + 1):
-            for r in range(1, r_max + 1):
-                for x in xs:
-                    lhs = conv_fib(n, x)
-                    rhs_a = sum(
-                        comb(n, l) * conv_fib(l, r) * conv_fib(n - l, x - r) for l in range(n + 1)
-                    )
-                    rhs_b = sum(
-                        comb(n, l) * conv_fib(n - l, r) * conv_fib(l, x - r) for l in range(n + 1)
-                    )
-                    yield {"n": n, "r": r, "x": x}, lhs, rhs_a if lhs != rhs_a else rhs_b
-
-    return scan("thm3", {"n_max": n_max, "r_max": r_max, "x_values": xs}, cells())
+    cells = (
+        (
+            {"n": n, "r": r, "x": x},
+            conv_fib(n, x),
+            sum(comb(n, l) * conv_fib(l, r) * conv_fib(n - l, x - r) for l in range(n + 1)),
+        )
+        for n in range(n_max + 1)
+        for r in range(1, r_max + 1)
+        for x in xs
+    )
+    return scan("thm3", {"n_max": n_max, "r_max": r_max, "x_values": xs}, cells)
 
 
 def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
@@ -157,8 +157,8 @@ def verify_thm6(
             if n:
                 lhs = lhs.derivative()
             bracket = Series.zero(order).lift()
-            for i in range((n + 1) // 2 + 1):
-                scalar = triangle.entry(n, i) * rising[n - i]
+            for i, a in enumerate(triangle.row(n)):
+                scalar = a * rising[n - i]
                 rational = two_t_pows[n - 2 * i] * inv_base_pows[n - i]
                 bracket = bracket + rational * scalar
             m = order - n
@@ -187,8 +187,7 @@ def verify_thm7(
                 for x in xs:
                     lhs = conv_fib(k + n, x)
                     rhs = 0
-                    for i in range((n + 1) // 2 + 1):
-                        a = triangle.entry(n, i)
+                    for i, a in enumerate(triangle.row(n)):
                         rising = factorial_powers(x, n - i)[1]
                         for l in range(k + 1):
                             falling = factorial_powers(n - 2 * i, l)[0]
@@ -274,10 +273,6 @@ IDENTITY_NAMES = (
     "genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "thm6", "thm7", "cor8", "cor9", "holo"
 )
 
-# Identities whose main bound ``n_max`` is the triangle row / derivative
-# order N rather than the series index n.
-_BIG_N_IDENTITIES = frozenset({"thm6", "thm7", "cor8", "cor9"})
-
 
 def run_identity(
     name: str,
@@ -305,7 +300,8 @@ def run_identity(
     verifier = globals()["fib_genfun_check" if name == "genfun" else f"verify_{name}"]
     parameters = inspect.signature(verifier).parameters
     overrides = {
-        "n_max": big_n_max if name in _BIG_N_IDENTITIES else n_max,
+        # triangle rows are indexed by N, so a verifier that takes one is bounded by N
+        "n_max": big_n_max if "triangle" in parameters else n_max,
         "k_max": k_max,
         "r_max": r_max,
         "order": order,

@@ -318,6 +318,15 @@ REFUSALS = [
     ("bench --repeats 0", 2, "--repeats must be >= 1, got 0"),
     ("bench --r 0", 2, "--r must be >= 1, got 0"),
     ("bench --triangle-max -1", 2, "--triangle-max must be >= 0, got -1"),
+    ("bench --sizes 5 --r 0 --skip-triangle", 2, "--r must be >= 1, got 0"),
+    # the last occurrence of a flag wins over the valid value before it
+    ("bench --sizes 5 --r 2 --triangle-max 4 --sizes -1", 2, "--sizes must be >= 0, got -1"),
+    ("bench --sizes 5 --r 2 --triangle-max 4 --repeats 0", 2, "--repeats must be >= 1, got 0"),
+    ("bench --sizes 5 --r 2 --triangle-max 4 --r 0", 2, "--r must be >= 1, got 0"),
+    (
+        "bench --sizes 5 --r 2 --triangle-max 4 --triangle-max -1", 2,
+        "--triangle-max must be >= 0, got -1",
+    ),
     ("bench --min-time-ms nan", 2, "--min-time-ms must be a finite number >= 0, got nan"),
     ("bench --min-time-ms inf", 2, "--min-time-ms must be a finite number >= 0, got inf"),
     ("bench --min-time-ms -1", 2, "--min-time-ms must be a finite number >= 0, got -1.0"),

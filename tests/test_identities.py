@@ -10,7 +10,12 @@ from math import comb, factorial
 import pytest
 
 from convfib import convolved, identities
-from convfib.convolved import CoeffTriangle, TruncationTooShort, conv_fib
+from convfib.convolved import (
+    CoeffTriangle,
+    TruncationTooShort,
+    conv_fib,
+    conv_fib_row_by_recurrence,
+)
 from convfib.fibonacci import fib
 from convfib.identities import (
     IDENTITY_NAMES,
@@ -109,6 +114,21 @@ class TestHolo:
         assert run_identity("holo", n_max=3, r_max=1).grid == {"n_max": 3, "r_max": 1}
         with pytest.raises(ValueError):
             run_identity("holo", r_max=-1)
+
+
+class TestThm3:
+    def test_wrong_value_fails_at_its_cell(self, monkeypatch):
+        def wrong_at_5_2(n, r):
+            return conv_fib(n, r) + ((n, r) == (5, 2))
+
+        monkeypatch.setattr(identities, "conv_fib", wrong_at_5_2)
+        report = verify_thm3()
+        p_5_2 = conv_fib_row_by_recurrence(2, 5)[5]
+        assert report.counterexample == {
+            "params": {"n": 5, "r": 1, "x": 2}, "lhs": str(p_5_2 + 1), "rhs": str(p_5_2)
+        }
+        # n <= 4: 5 * 6 r * 11 x cells, then x = -2..2 at n = 5, r = 1
+        assert report.cells == 335
 
 
 class TestTrivialReductions:
@@ -254,8 +274,13 @@ class TestRunner:
         assert report.grid == {"order": 10}
 
     def test_big_n_override_reaches_triangle_identities(self):
-        report = run_identity("thm6", big_n_max=4, order=12)
-        assert report.grid == {"n_max": 4, "order": 12}
+        """Triangle rows are indexed by N, so ``big_n_max`` bounds exactly the
+        verifiers that take a triangle, and ``n_max`` every other bounded one."""
+        for name in IDENTITY_NAMES:
+            report = run_identity(name, n_max=3, big_n_max=4, order=12)
+            expected = {"genfun": None, "thm6": 4, "thm7": 4, "cor8": 4, "cor9": 4}.get(name, 3)
+            assert report.grid.get("n_max") == expected, name
+        assert run_identity("thm6", big_n_max=4, order=12).grid == {"n_max": 4, "order": 12}
 
     def test_series_index_override_does_not_touch_triangle_bound(self):
         report = run_identity("cor9", n_max=99, big_n_max=5)
