@@ -66,6 +66,27 @@ class TestCliBench:
             assert params in ("n=5;r=2", "n=8;r=2")
             assert float(seconds) > 0
 
+    def test_cross_check_failure_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(bench, "conv_fib_by_nested_sum", lambda n, r: -1)
+        code = cli.main(["bench", "--sizes", "5", "--r", "2", "--skip-triangle"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+
+    # The other flags of this case are rows of REFUSALS in test_cli.py; the
+    # explicit id keeps this case's test id from when it had siblings here.
+    @pytest.mark.parametrize(
+        "flags, named",
+        [pytest.param(["--repeats", "0"], "--repeats", id="flags1---repeats")],
+    )
+    def test_bad_sizes_or_repeats_is_usage_error(self, capsys, flags, named):
+        # the last occurrence of a flag wins, so ``flags`` overrides the valid base
+        code = cli.main(["bench", "--sizes", "5", "--r", "2", "--triangle-max", "4", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {named} must be >= ")
+        assert captured.err.endswith(f", got {flags[1]}\n")
+
     def test_deterministic_modulo_timing_column(self, capsys):
         argv = ["bench", "--sizes", "4,6", "--r", "2", "--triangle-max", "8",
                 "--min-time-ms", "1", "--repeats", "1"]
