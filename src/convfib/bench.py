@@ -23,7 +23,7 @@ from convfib.convolved import (
     conv_fib_row_holonomic,
 )
 from convfib.fibonacci import fib
-from convfib.report import UsageError
+from convfib.report import CrossCheckFailure, UsageError
 
 # Each value runner computes p_n(depth + 1) from scratch; none reads the
 # conv_fib cache.  Runners name module globals, looked up at call time.
@@ -44,10 +44,6 @@ class BenchRow:
     algorithm: str
     params: str
     seconds: float
-
-
-class CrossCheckFailure(RuntimeError):
-    """Two algorithms disagreed on a cell; timings were not produced."""
 
 
 def time_call(fn: Callable[[], object], min_seconds: float = 0.02, repeats: int = 3) -> float:

@@ -16,18 +16,15 @@ import argparse
 import functools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
-import traceback
 from typing import Iterable, Optional
 
-from convfib import bench as bench_mod
 from convfib.convolved import CoeffTriangle, conv_fib_poly, conv_fib_row
-from convfib.fibonacci import fib
+from convfib.fibonacci import fib_pure
 from convfib.identities import IDENTITY_NAMES, run_identity
-from convfib.report import UsageError
+from convfib.report import CrossCheckFailure, UsageError
 
 
 def _open_out(path: str, mode: str):
@@ -72,7 +69,12 @@ def _table(fields: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> str:
 def cmd_fib(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
-    rows = [(n, fib(n)) for n in range(args.start, args.stop + 1)]
+    # two running values: the shared table would keep every F_k up to --to
+    rows = []
+    a, b = fib_pure(args.start), fib_pure(args.start + 1)
+    for n in range(args.start, args.stop + 1):
+        rows.append((n, a))
+        a, b = b, a + b
     _emit(_table(("n", "F"), rows, args.format), args.out)
     return 0
 
@@ -123,6 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     run = functools.partial(_timed, functools.partial(run_identity, **overrides))
     workers = _worker_count(args.jobs, len(names))
     if workers > 1:
+        import multiprocessing
         # a spawned worker starts with the default digit limit; leaving the block ends every worker
         with multiprocessing.Pool(workers, _set_int_digits, (0,)) as pool:
             results = list(pool.imap(run, names))
@@ -150,7 +153,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise UsageError(f"--min-time-ms must be a finite number >= 0, got {args.min_time_ms}")
     if args.min_time_ms > 10_000:
         raise UsageError(f"--min-time-ms must be at most 10000, got {args.min_time_ms}")
-    results = bench_mod.run_bench(
+    from convfib import bench
+    results = bench.run_bench(
         args.sizes,
         depth=args.r,
         triangle_max=None if args.skip_triangle else args.triangle_max,
@@ -246,11 +250,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except bench_mod.CrossCheckFailure as exc:
+    except CrossCheckFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
         # a crash must not read as a disagreement (exit 1)
+        import traceback
         traceback.print_exc()
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -69,13 +69,7 @@ def conv_fib_row(r: int, n_max: int) -> list[int]:
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     power = base_series(n_max) ** (-r)
-    out = []
-    f = 1
-    for n, c in enumerate(power.coefficients):
-        if n:
-            f *= n
-        out.append(_exact_int(c * f))
-    return out
+    return [_exact_int(c * factorial(n)) for n, c in enumerate(power.coefficients)]
 
 
 def _extend_holonomic(row: list[int], r: int, n: int) -> None:
@@ -133,6 +127,16 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
     return factorial(n) * fold(n, r - 1)
 
 
+def _falling_step(row: list[int], n: int) -> int:
+    """p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l from ``row`` = [p_0(j), ..., p_n(j), ...]."""
+    acc, falling = 0, 1  # falling = (n)_l, one factor more per term
+    for l in range(n + 1):
+        if l:
+            falling *= n - l + 1
+        acc += falling * row[n - l] * fib(l)
+    return acc
+
+
 def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
     """[p_0(r), ..., p_{n_max}(r)] for r >= 1 by iterating the step
     p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l up from the row p_n(1) = n! F_n.
@@ -143,16 +147,7 @@ def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
         raise UsageError("n_max must be >= 0")
     row = [factorial(n) * fib(n) for n in range(n_max + 1)]
     for _ in range(r - 1):
-        nxt = []
-        for n in range(n_max + 1):
-            acc = 0
-            falling = 1
-            for l in range(n + 1):
-                if l:
-                    falling *= n - l + 1
-                acc += falling * row[n - l] * fib(l)
-            nxt.append(acc)
-        row = nxt
+        row = [_falling_step(row, n) for n in range(n_max + 1)]
     return row
 
 

@@ -21,6 +21,7 @@ from typing import Iterable, Optional
 from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
+    _falling_step,
     conv_fib,
     conv_fib_by_nested_sum,
     conv_fib_poly,
@@ -93,12 +94,12 @@ def verify_thm3(
 
 
 def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
-    """p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l."""
+    """p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l, the step the falling-factorial row iterates."""
     cells = (
         (
             {"n": n, "r": r},
             conv_fib(n, r + 1),
-            sum(factorial_powers(n, l)[0] * conv_fib(n - l, r) * fib(l) for l in range(n + 1)),
+            _falling_step([conv_fib(m, r) for m in range(n + 1)], n),
         )
         for n in range(n_max + 1)
         for r in range(1, r_max + 1)
@@ -208,10 +209,9 @@ def verify_cor8(
     For each N the monomial expansion of the rising-factorial form must
     coincide with the triangle-free symbolic construction, read from one
     expansion of the generating function at order n_max, and its value at
-    every x in the grid must equal p_N(x).
+    every x in the grid must equal p_N(x).  Without a triangle, row N is
+    the one :func:`~convfib.convolved.conv_fib_poly` rolls for itself.
     """
-    if triangle is None:
-        triangle = CoeffTriangle.from_recurrence(n_max)
     xs = sorted(x_values)
 
     def cells():

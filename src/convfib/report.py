@@ -1,4 +1,4 @@
-"""Verification reports, the grid scan behind them, and the usage error."""
+"""Verification reports, the grid scan behind them, and the exit-code errors."""
 
 from __future__ import annotations
 
@@ -9,6 +9,10 @@ from typing import Any, Iterable, Optional
 class UsageError(ValueError):
     """A caller's argument is out of range: a negative bound, an empty grid,
     a truncation order too short for the request, an unwritable path."""
+
+
+class CrossCheckFailure(RuntimeError):
+    """Two benchmarked algorithms disagreed on a cell; timings were not produced."""
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from convfib import bench, cli, identities
+from convfib import bench, cli, fibonacci, identities
 from convfib.fibonacci import fib
 from convfib.identities import IDENTITY_NAMES
 from convfib.report import UsageError, VerificationReport
@@ -65,6 +65,17 @@ class TestFib:
         assert n == "20600"
         assert re.fullmatch(r"\d{4306}", value)
         assert int(value[-18:]) == fib(20600) % 10**18
+
+    def test_range_leaves_the_shared_table_as_it_was(self, capsys):
+        bounds = fibonacci._TABLE.bounds
+        code, out = run_cli(capsys, "fib", "--from", "45000", "--to", "45001")
+        assert code == 0
+        assert fibonacci._TABLE.bounds == bounds
+        a, b = 1, 1  # F_k, F_{k+1} mod 10**18
+        for _ in range(45000):
+            a, b = b, (a + b) % 10**18
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [(n, int(value[-18:])) for n, value in rows] == [("45000", a), ("45001", b)]
 
     @pytest.mark.parametrize(
         "argv", [("fib", "--from", "0", "--to", "3"), ("fib", "--from", "3", "--to", "0")], ids=["ok", "usage-error"]
@@ -414,7 +425,7 @@ TRACED_RUN = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from tracing import Tracer
-from convfib import bench, cli, identities
+from convfib import bench, cli, fibonacci, identities
 from convfib.fibonacci import fib
 tracer = Tracer()
 tracer.install()
@@ -433,3 +444,21 @@ def test_traced_boundaries_exist():
     result = json.loads(done.stdout)
     assert result["code"] == 0
     assert result["calls"]["convolved.rising_factorial_poly"] > 0
+
+
+# A command's own modules load when it runs, not when the CLI is imported.
+IMPORT_CLI = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import convfib.cli
+print(sorted(name for name in ("convfib.bench", "multiprocessing", "traceback") if name in sys.modules))
+"""
+
+
+def test_importing_the_cli_loads_no_command_module():
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_CLI, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

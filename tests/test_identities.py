@@ -131,6 +131,39 @@ class TestThm3:
         assert report.cells == 335
 
 
+class TestSharedRowCode:
+    """cor8 and cor4 run the row code that ``table`` and ``bench`` run."""
+
+    def test_cor8_without_a_triangle_checks_the_rolled_row(self, monkeypatch):
+        # one row too many kept makes conv_fib_poly(N) read row N - 1
+        deque = convolved.deque
+        monkeypatch.setattr(convolved, "deque", lambda rows, maxlen: deque(rows, maxlen=maxlen + 1))
+        report = verify_cor8(6, range(-2, 5))
+        assert report.counterexample["params"] == {"N": 2, "check": "polynomial"}
+        assert verify_cor8(6, range(-2, 5), triangle=CoeffTriangle.from_recurrence(6)).passed
+
+    def test_cor8_without_a_triangle_builds_none(self, monkeypatch):
+        def refuse(cls, n_max):
+            raise AssertionError("cor8 built a triangle")
+
+        monkeypatch.setattr(CoeffTriangle, "from_recurrence", classmethod(refuse))
+        assert verify_cor8(6, range(-2, 5)).passed
+
+    def test_cor4_runs_the_step_that_the_falling_row_iterates(self, monkeypatch):
+        assert identities._falling_step is convolved._falling_step
+        step = convolved._falling_step
+
+        def wrong_at_5(row, n):
+            return step(row, n) + (n == 5)
+
+        for module in (convolved, identities):
+            monkeypatch.setattr(module, "_falling_step", wrong_at_5)
+        assert conv_fib_row_by_recurrence(2, 6)[5] == conv_fib(5, 2) + 1
+        report = verify_cor4(8, 2)
+        assert report.counterexample["params"] == {"n": 5, "r": 1}
+        assert report.cells == 5 * 2 + 1
+
+
 class TestTrivialReductions:
     def test_prop1_at_x_equal_one(self):
         """x = 1 collapses to p_n(1) = p_n(1) because p_k(0) vanishes."""
