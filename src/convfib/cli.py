@@ -22,7 +22,7 @@ import time
 from typing import Iterable, Optional
 
 from convfib.convolved import CoeffTriangle, conv_fib_poly, conv_fib_row
-from convfib.fibonacci import fib_pure
+from convfib.fibonacci import _fib_pair
 from convfib.identities import IDENTITY_NAMES, run_identity
 from convfib.report import CrossCheckFailure, UsageError
 
@@ -71,7 +71,7 @@ def cmd_fib(args: argparse.Namespace) -> int:
         raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
     # two running values: the shared table would keep every F_k up to --to
     rows = []
-    a, b = fib_pure(args.start), fib_pure(args.start + 1)
+    a, b = _fib_pair(args.start)
     for n in range(args.start, args.stop + 1):
         rows.append((n, a))
         a, b = b, a + b

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 
-from convfib.report import UsageError, VerificationReport, scan
+from convfib.report import UsageError, VerificationReport, verifier
 from convfib.series import Series
 
 
@@ -61,22 +61,25 @@ def fib(n: int) -> int:
     return _TABLE.value(n)
 
 
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F_n, F_{n+1}) by one walk from (F_0, F_1), with no shared state."""
+    a, b = 1, 1  # (F_m, F_{m+1}) at m = 0
+    for _ in range(n):  # m walks up to n >= 0 ...
+        a, b = b, a + b
+    for _ in range(-n):  # ... or down to n < 0
+        a, b = b - a, a
+    return a, b
+
+
 def fib_pure(n: int) -> int:
     """F_n computed iteratively with no shared state.
 
     A table-free reference that the tests set against :func:`fib`.
     """
-    if n >= 0:
-        a, b = 1, 1  # F_0, F_1
-        for _ in range(n):
-            a, b = b, a + b
-        return a
-    a, b = 1, 1  # F_{m+1}, F_{m+2} walking m downward from 0
-    for _ in range(-n):
-        a, b = b - a, a
-    return a
+    return _fib_pair(n)[0]
 
 
+@verifier("genfun")
 def fib_genfun_check(order: int = 200) -> VerificationReport:
     """Cross-check the recurrence against 1/(1 - t - t^2).
 
@@ -87,17 +90,13 @@ def fib_genfun_check(order: int = 200) -> VerificationReport:
     if order < 2:
         raise UsageError("the generating-function check needs order >= 2")
     coeffs = base_series(order).inverse().coefficients
-
-    def cells():
-        for k, c in enumerate(coeffs):
-            yield {"k": k, "check": "coefficient"}, c, fib(k)
-        for k in range(order + 1):
-            if k == 0:
-                residue = coeffs[0] - 1
-            elif k == 1:
-                residue = coeffs[1] - coeffs[0]
-            else:
-                residue = coeffs[k] - coeffs[k - 1] - coeffs[k - 2]
-            yield {"k": k, "check": "recurrence"}, residue, 0
-
-    return scan("genfun", {"order": order}, cells())
+    for k, c in enumerate(coeffs):
+        yield {"k": k, "check": "coefficient"}, c, fib(k)
+    for k in range(order + 1):
+        if k == 0:
+            residue = coeffs[0] - 1
+        elif k == 1:
+            residue = coeffs[1] - coeffs[0]
+        else:
+            residue = coeffs[k] - coeffs[k - 1] - coeffs[k - 2]
+        yield {"k": k, "check": "recurrence"}, residue, 0

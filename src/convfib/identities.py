@@ -5,11 +5,12 @@ parameter grid, with exact equality and zero tolerance.  Right-hand sides
 that the statements give as nested sums are evaluated by literal recursive
 loops mirroring the summation structure, never by a shortcut, so each
 check really pits two different algorithms against each other.  Each
-verifier yields its cells in lexicographic parameter order and
-:func:`convfib.report.scan` reports the first failing cell as the
-counterexample.  A verifier's signature is the one statement of its
-default grid; :func:`run_identity` runs a verifier by name and applies
-overrides on top of those defaults.
+verifier is a generator of cells in lexicographic parameter order, and
+:func:`convfib.report.verifier` turns it into a function that reports the
+first failing cell as the counterexample.  A verifier's signature is the
+one statement of its default grid, and of its report's grid;
+:func:`run_identity` runs a verifier by name and applies overrides on top
+of those defaults.
 """
 
 from __future__ import annotations
@@ -32,23 +33,20 @@ from convfib.convolved import (
     rising_factorial_poly,
 )
 from convfib.fibonacci import base_series, fib, fib_genfun_check
-from convfib.report import UsageError, VerificationReport, scan
+from convfib.report import UsageError, VerificationReport, verifier
 from convfib.series import Series
 
 
+@verifier("prop1")
 def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> VerificationReport:
     """p_n(x) = sum_l C(n,l) p_l(1) p_{n-l}(x-1) over the (n, x) grid."""
-    xs = sorted(x_values)
-    cells = (
-        (
-            {"n": n, "x": x},
-            conv_fib(n, x),
-            sum(comb(n, l) * conv_fib(l, 1) * conv_fib(n - l, x - 1) for l in range(n + 1)),
-        )
-        for n in range(n_max + 1)
-        for x in xs
-    )
-    return scan("prop1", {"n_max": n_max, "x_values": xs}, cells)
+    for n in range(n_max + 1):
+        for x in x_values:
+            yield (
+                {"n": n, "x": x},
+                conv_fib(n, x),
+                sum(comb(n, l) * conv_fib(l, 1) * conv_fib(n - l, x - 1) for l in range(n + 1)),
+            )
 
 
 def _cor2_nested(n: int, levels: int) -> int:
@@ -60,16 +58,15 @@ def _cor2_nested(n: int, levels: int) -> int:
     )
 
 
+@verifier("cor2")
 def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
     """p_n(r) equals the (r-1)-fold nested binomial sum over p(1) values."""
-    cells = (
-        ({"n": n, "r": r}, conv_fib(n, r), _cor2_nested(n, r - 1))
-        for n in range(n_max + 1)
-        for r in range(1, r_max + 1)
-    )
-    return scan("cor2", {"n_max": n_max, "r_max": r_max}, cells)
+    for n in range(n_max + 1):
+        for r in range(1, r_max + 1):
+            yield {"n": n, "r": r}, conv_fib(n, r), _cor2_nested(n, r - 1)
 
 
+@verifier("thm3")
 def verify_thm3(
     n_max: int = 40, r_max: int = 6, x_values: Iterable[int] = range(-2, 9)
 ) -> VerificationReport:
@@ -79,44 +76,37 @@ def verify_thm3(
     Since C(n,l) = C(n,n-l), the substitution l -> n-l maps it onto this
     sum term for term, whatever values p takes, so it is not summed again.
     """
-    xs = sorted(x_values)
-    cells = (
-        (
-            {"n": n, "r": r, "x": x},
-            conv_fib(n, x),
-            sum(comb(n, l) * conv_fib(l, r) * conv_fib(n - l, x - r) for l in range(n + 1)),
-        )
-        for n in range(n_max + 1)
-        for r in range(1, r_max + 1)
-        for x in xs
-    )
-    return scan("thm3", {"n_max": n_max, "r_max": r_max, "x_values": xs}, cells)
+    for n in range(n_max + 1):
+        for r in range(1, r_max + 1):
+            for x in x_values:
+                yield (
+                    {"n": n, "r": r, "x": x},
+                    conv_fib(n, x),
+                    sum(comb(n, l) * conv_fib(l, r) * conv_fib(n - l, x - r) for l in range(n + 1)),
+                )
 
 
+@verifier("cor4")
 def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
     """p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l, the step the falling-factorial row iterates."""
-    cells = (
-        (
-            {"n": n, "r": r},
-            conv_fib(n, r + 1),
-            _falling_step([conv_fib(m, r) for m in range(n + 1)], n),
-        )
-        for n in range(n_max + 1)
-        for r in range(1, r_max + 1)
-    )
-    return scan("cor4", {"n_max": n_max, "r_max": r_max}, cells)
+    for n in range(n_max + 1):
+        for r in range(1, r_max + 1):
+            yield (
+                {"n": n, "r": r},
+                conv_fib(n, r + 1),
+                _falling_step([conv_fib(m, r) for m in range(n + 1)], n),
+            )
 
 
+@verifier("thm5")
 def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
     """p_n(r+1)/n! equals the r-fold nested Fibonacci convolution sum."""
-    cells = (
-        ({"n": n, "r": r}, conv_fib(n, r + 1), conv_fib_by_nested_sum(n, r + 1))
-        for n in range(n_max + 1)
-        for r in range(1, r_max + 1)
-    )
-    return scan("thm5", {"n_max": n_max, "r_max": r_max}, cells)
+    for n in range(n_max + 1):
+        for r in range(1, r_max + 1):
+            yield {"n": n, "r": r}, conv_fib(n, r + 1), conv_fib_by_nested_sum(n, r + 1)
 
 
+@verifier("thm6")
 def verify_thm6(
     n_max: int = 10, order: int = 30, triangle: Optional[CoeffTriangle] = None
 ) -> VerificationReport:
@@ -152,25 +142,23 @@ def verify_thm6(
     for e in range(1, n_max + 1):
         two_t_pows[e] = two_t_pows[e - 1] * two_t
 
-    def cells():
-        lhs = gen
-        for n in range(n_max + 1):
-            if n:
-                lhs = lhs.derivative()
-            bracket = Series.zero(order).lift()
-            for i, a in enumerate(triangle.row(n)):
-                scalar = a * rising[n - i]
-                rational = two_t_pows[n - 2 * i] * inv_base_pows[n - i]
-                bracket = bracket + rational * scalar
-            m = order - n
-            rhs = bracket.truncate(m) * gen.truncate(m)
-            # one cell per N; a mismatch is reported at its lowest power of t
-            k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
-            yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
-
-    return scan("thm6", {"n_max": n_max, "order": order}, cells())
+    lhs = gen
+    for n in range(n_max + 1):
+        if n:
+            lhs = lhs.derivative()
+        bracket = Series.zero(order).lift()
+        for i, a in enumerate(triangle.row(n)):
+            scalar = a * rising[n - i]
+            rational = two_t_pows[n - 2 * i] * inv_base_pows[n - i]
+            bracket = bracket + rational * scalar
+        m = order - n
+        rhs = bracket.truncate(m) * gen.truncate(m)
+        # one cell per N; a mismatch is reported at its lowest power of t
+        k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
+        yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
 
 
+@verifier("thm7")
 def verify_thm7(
     k_max: int = 20,
     n_max: int = 8,
@@ -180,25 +168,21 @@ def verify_thm7(
     """p_{k+N}(x) against the double sum over the triangle row N."""
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
-    xs = sorted(x_values)
-
-    def cells():
-        for k in range(k_max + 1):
-            for n in range(n_max + 1):
-                for x in xs:
-                    lhs = conv_fib(k + n, x)
-                    rhs = 0
-                    for i, a in enumerate(triangle.row(n)):
-                        rising = factorial_powers(x, n - i)[1]
-                        for l in range(k + 1):
-                            falling = factorial_powers(n - 2 * i, l)[0]
-                            term = comb(k, l) * falling * 2**l * a * rising
-                            rhs += term * conv_fib(k - l, x + n - i)
-                    yield {"k": k, "N": n, "x": x}, lhs, rhs
-
-    return scan("thm7", {"k_max": k_max, "n_max": n_max, "x_values": xs}, cells())
+    for k in range(k_max + 1):
+        for n in range(n_max + 1):
+            for x in x_values:
+                lhs = conv_fib(k + n, x)
+                rhs = 0
+                for i, a in enumerate(triangle.row(n)):
+                    rising = factorial_powers(x, n - i)[1]
+                    for l in range(k + 1):
+                        falling = factorial_powers(n - 2 * i, l)[0]
+                        term = comb(k, l) * falling * 2**l * a * rising
+                        rhs += term * conv_fib(k - l, x + n - i)
+                yield {"k": k, "N": n, "x": x}, lhs, rhs
 
 
+@verifier("cor8")
 def verify_cor8(
     n_max: int = 40,
     x_values: Iterable[int] = range(-5, 11),
@@ -212,20 +196,16 @@ def verify_cor8(
     every x in the grid must equal p_N(x).  Without a triangle, row N is
     the one :func:`~convfib.convolved.conv_fib_poly` rolls for itself.
     """
-    xs = sorted(x_values)
-
-    def cells():
-        genfun = conv_fib_poly_genfun(n_max)  # one expansion serves every N
-        for n in range(n_max + 1):
-            poly = conv_fib_poly(n, triangle)
-            oracle = conv_fib_poly_oracle(n, n_max, genfun)
-            yield {"N": n, "check": "polynomial"}, poly.monomial, oracle
-            for x in xs:
-                yield {"N": n, "x": x}, poly.evaluate(x), conv_fib(n, x)
-
-    return scan("cor8", {"n_max": n_max, "x_values": xs}, cells())
+    genfun = conv_fib_poly_genfun(n_max)  # one expansion serves every N
+    for n in range(n_max + 1):
+        poly = conv_fib_poly(n, triangle)
+        oracle = conv_fib_poly_oracle(n, n_max, genfun)
+        yield {"N": n, "check": "polynomial"}, poly.monomial, oracle
+        for x in x_values:
+            yield {"N": n, "x": x}, poly.evaluate(x), conv_fib(n, x)
 
 
+@verifier("cor9")
 def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> VerificationReport:
     """N!(F_N - 1) = sum_{i>=1} a_i(N) (N-i)!, plus the i = 0 completion.
 
@@ -235,35 +215,28 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
     """
     if triangle is None:
         triangle = CoeffTriangle.from_closed_form(n_max)
-
-    def cells():
-        for n in range(n_max + 1):
-            row = triangle.row(n)
-            yield (
-                {"N": n, "check": "fib-minus-one"},
-                factorial(n) * (fib(n) - 1),
-                sum(a * factorial(n - i) for i, a in enumerate(row) if i >= 1),
-            )
-            yield (
-                {"N": n, "check": "value-at-one"},
-                conv_fib(n, 1),
-                sum(a * factorial(n - i) for i, a in enumerate(row)),
-            )
-
-    return scan("cor9", {"n_max": n_max}, cells())
+    for n in range(n_max + 1):
+        row = triangle.row(n)
+        yield (
+            {"N": n, "check": "fib-minus-one"},
+            factorial(n) * (fib(n) - 1),
+            sum(a * factorial(n - i) for i, a in enumerate(row) if i >= 1),
+        )
+        yield (
+            {"N": n, "check": "value-at-one"},
+            conv_fib(n, 1),
+            sum(a * factorial(n - i) for i, a in enumerate(row)),
+        )
 
 
+@verifier("holo")
 def verify_holo(n_max: int = 40, r_max: int = 9) -> VerificationReport:
     """p_n(r) from the cached three-term recurrence against n! [t^n] of the
     series power (1 - t - t^2)**(-r), one power per r in [-r_max, r_max]."""
-
-    def cells():
-        for r in range(-r_max, r_max + 1):
-            row = conv_fib_row(r, n_max)
-            for n in range(n_max + 1):
-                yield {"r": r, "n": n}, conv_fib(n, r), row[n]
-
-    return scan("holo", {"n_max": n_max, "r_max": r_max}, cells())
+    for r in range(-r_max, r_max + 1):
+        row = conv_fib_row(r, n_max)
+        for n in range(n_max + 1):
+            yield {"r": r, "n": n}, conv_fib(n, r), row[n]
 
 
 # -- uniform runner -----------------------------------------------------------

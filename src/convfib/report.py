@@ -1,9 +1,11 @@
-"""Verification reports, the grid scan behind them, and the exit-code errors."""
+"""Verification reports, the decorator that scans a grid into one, and the exit-code errors."""
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import asdict, dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 
 class UsageError(ValueError):
@@ -45,22 +47,36 @@ class VerificationReport:
         return asdict(self)
 
 
-def scan(
-    identity: str, grid: dict[str, Any], cells: Iterable[tuple[dict[str, Any], object, object]]
-) -> VerificationReport:
-    """Turn a grid scan into a report.
+def verifier(identity: str):
+    """Turn a generator of ``(params, lhs, rhs)`` cells, in lexicographic
+    parameter order, into a verifier that returns a report.
 
-    ``cells`` yields ``(params, lhs, rhs)`` in lexicographic parameter
-    order; the scan stops at the first cell whose sides differ and reports
-    it as the counterexample.  A grid that yields no cell raises
-    :class:`UsageError`, so a pass always means that something was checked.
+    The generator gets the defaults of its signature and ``x_values`` as a
+    sorted list; the report's grid is those arguments, less ``triangle``.
+    The first cell whose sides differ is the counterexample.  A grid with no
+    cell raises :class:`UsageError`, so a pass means that cells were checked.
     """
-    count = 0
-    for params, lhs, rhs in cells:
-        count += 1
-        if lhs != rhs:
-            counterexample = {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
-            return VerificationReport(identity, grid, count, "fail", counterexample)
-    if not count:
-        raise UsageError(f"{identity}: the grid {grid} has no cells to check")
-    return VerificationReport(identity, grid, count, "pass")
+
+    def decorate(cells: Callable[..., Iterable[tuple[dict[str, Any], object, object]]]):
+        signature = inspect.signature(cells)
+
+        @functools.wraps(cells)
+        def run(*args: Any, **kwargs: Any) -> VerificationReport:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            if "x_values" in bound.arguments:
+                bound.arguments["x_values"] = sorted(bound.arguments["x_values"])
+            grid = {key: value for key, value in bound.arguments.items() if key != "triangle"}
+            count = 0
+            for params, lhs, rhs in cells(*bound.args, **bound.kwargs):
+                count += 1
+                if lhs != rhs:
+                    counterexample = {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
+                    return VerificationReport(identity, grid, count, "fail", counterexample)
+            if not count:
+                raise UsageError(f"{identity}: the grid {grid} has no cells to check")
+            return VerificationReport(identity, grid, count, "pass")
+
+        return run
+
+    return decorate

@@ -77,6 +77,21 @@ class TestFib:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert [(n, int(value[-18:])) for n, value in rows] == [("45000", a), ("45001", b)]
 
+    @pytest.mark.parametrize("start", [9, -7])
+    def test_range_is_seeded_by_one_walk(self, capsys, monkeypatch, start):
+        """(F_start, F_start+1) come from a single walk to ``--from``."""
+        walks = []
+
+        def recording(n):
+            walks.append(n)
+            return fibonacci._fib_pair(n)
+
+        monkeypatch.setattr(cli, "_fib_pair", recording)
+        code, out = run_cli(capsys, "fib", "--from", str(start), "--to", str(start + 2))
+        assert code == 0
+        assert walks == [start]
+        assert out == "n,F\n" + "".join(f"{n},{fib(n)}\n" for n in range(start, start + 3))
+
     @pytest.mark.parametrize(
         "argv", [("fib", "--from", "0", "--to", "3"), ("fib", "--from", "3", "--to", "0")], ids=["ok", "usage-error"]
     )

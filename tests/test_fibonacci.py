@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from convfib.fibonacci import FibTable, fib, fib_genfun_check, fib_pure
+from convfib.fibonacci import FibTable, _fib_pair, fib, fib_genfun_check, fib_pure
 from convfib.series import Series
 
 
@@ -49,6 +49,7 @@ class TestPureFallback:
     def test_matches_table_both_directions(self):
         for n in range(-30, 61):
             assert fib_pure(n) == fib(n)
+            assert _fib_pair(n) == (fib(n), fib(n + 1))
 
 
 class TestGenfunCheck:

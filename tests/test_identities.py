@@ -283,6 +283,21 @@ class TestReports:
         assert verify_prop1(12, range(-2, 5)).passed
         assert verify_prop1(6, range(0, 3)).passed
 
+    def test_x_values_are_sorted_and_scanned_in_that_order(self, monkeypatch):
+        """An unsorted x iterable with a repeat, also a one-shot iterator, is
+        reported sorted, repeat kept, and scanned in that order: of two wrong
+        values of p_3, the one at x = -1 is found first although 4 comes
+        first in the argument."""
+        assert verify_prop1(5, [4, -1, 2, 2]).grid["x_values"] == [-1, 2, 2, 4]
+        wrong = {(3, 4), (3, -1)}
+        monkeypatch.setattr(
+            identities, "conv_fib", lambda n, x: conv_fib(n, x) + ((n, x) in wrong)
+        )
+        report = verify_prop1(5, iter([4, -1, 2, 2]))
+        assert report.grid == {"n_max": 5, "x_values": [-1, 2, 2, 4]}
+        assert report.counterexample["params"] == {"n": 3, "x": -1}
+        assert report.cells == 3 * 4 + 1
+
     def test_cells_counted_up_to_failure(self):
         mutated = CoeffTriangle.from_recurrence(4).with_entry(3, 1, 7)
         report = verify_cor9(4, triangle=mutated)
@@ -292,11 +307,31 @@ class TestReports:
 
 
 class TestRunner:
-    def test_all_names_run(self):
+    def test_all_names_run(self, monkeypatch):
+        """Each report's grid is the arguments of its verifier's call, with the
+        defaults applied, in signature order, less ``triangle``, and with
+        ``x_values`` sorted."""
         overrides = {"n_max": 6, "big_n_max": 4, "k_max": 4, "r_max": 2, "order": 10}
         for name in IDENTITY_NAMES:
+            attr = "fib_genfun_check" if name == "genfun" else f"verify_{name}"
+            verifier, calls = getattr(identities, attr), []
+
+            @functools.wraps(verifier)
+            def recording(*, _verifier=verifier, **params):
+                calls.append(params)
+                return _verifier(**params)
+
+            monkeypatch.setattr(identities, attr, recording)
             report = run_identity(name, **overrides)
             assert report.passed, name
+            bound = inspect.signature(verifier).bind(**calls[0])
+            bound.apply_defaults()
+            expected = [
+                (key, sorted(value) if key == "x_values" else value)
+                for key, value in bound.arguments.items()
+                if key != "triangle"
+            ]
+            assert list(report.grid.items()) == expected, name
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
