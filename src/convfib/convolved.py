@@ -114,17 +114,19 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
 
     Evaluates n! * sum_{l_1} ... sum_{l_{r-1}} F_{l_1} ... F_{l_{r-1}}
     F_{n - l_1 - ... - l_{r-1}} exactly as written, term by term; the cost
-    grows like n**(r-1).
+    grows like n**(r-1).  F_0 .. F_n, the loop-invariant factors, are read
+    from :func:`fib` once, but every term is still formed and added.
     """
     if r < 1:
         raise UsageError("the nested-sum form needs r >= 1")
+    fibs = [fib(l) for l in range(n + 1)]
 
     def fold(m: int, depth: int) -> int:
-        if depth == 0:
-            return fib(m)
-        return sum(fib(l) * fold(m - l, depth - 1) for l in range(m + 1))
+        if depth == 1:  # the innermost sum runs over the list itself
+            return sum(fibs[l] * fibs[m - l] for l in range(m + 1))
+        return sum(fibs[l] * fold(m - l, depth - 1) for l in range(m + 1))
 
-    return factorial(n) * fold(n, r - 1)
+    return factorial(n) * (fibs[n] if r == 1 else fold(n, r - 1))
 
 
 def _falling_step(row: list[int], n: int) -> int:

@@ -4,7 +4,9 @@ Every verifier compares two independently computed sides over an explicit
 parameter grid, with exact equality and zero tolerance.  Right-hand sides
 that the statements give as nested sums are evaluated by literal recursive
 loops mirroring the summation structure, never by a shortcut, so each
-check really pits two different algorithms against each other.  Each
+check really pits two different algorithms against each other.  Factors
+that do not change inside a sum (F_l, C(n,l) p_l(r), (N-2i)_l) are read
+once per row or grid, but every term is still formed and added.  Each
 verifier is a generator of cells in lexicographic parameter order, and
 :func:`convfib.report.verifier` turns it into a function that reports the
 first failing cell as the counterexample.  A verifier's signature is the
@@ -40,30 +42,44 @@ from convfib.series import Series
 @verifier("prop1")
 def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> VerificationReport:
     """p_n(x) = sum_l C(n,l) p_l(1) p_{n-l}(x-1) over the (n, x) grid."""
+    if not x_values:
+        return  # no cells, so no factors to build
     for n in range(n_max + 1):
+        weights = _binomial_weights(n, 1)
         for x in x_values:
             yield (
                 {"n": n, "x": x},
                 conv_fib(n, x),
-                sum(comb(n, l) * conv_fib(l, 1) * conv_fib(n - l, x - 1) for l in range(n + 1)),
+                sum(w * conv_fib(n - l, x - 1) for l, w in enumerate(weights)),
             )
 
 
-def _cor2_nested(n: int, levels: int) -> int:
-    """The literal nested binomial sum with ``levels`` bound indices."""
+def _binomial_weights(n: int, r: int) -> list[int]:
+    """[C(n,l) p_l(r) for l = 0 .. n], the factors that a row of cells shares."""
+    return [comb(n, l) * conv_fib(l, r) for l in range(n + 1)]
+
+
+def _cor2_nested(n: int, levels: int, weights: Optional[list[list[int]]] = None) -> int:
+    """The literal nested binomial sum with ``levels`` bound indices.
+
+    ``weights[m]`` is :func:`_binomial_weights` ``(m, 1)`` for every m <= n,
+    built here when not given.
+    """
     if levels == 0:
         return conv_fib(n, 1)
-    return sum(
-        comb(n, l) * conv_fib(l, 1) * _cor2_nested(n - l, levels - 1) for l in range(n + 1)
-    )
+    if weights is None:
+        weights = [_binomial_weights(m, 1) for m in range(n + 1)]
+    return sum(w * _cor2_nested(n - l, levels - 1, weights) for l, w in enumerate(weights[n]))
 
 
 @verifier("cor2")
 def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
     """p_n(r) equals the (r-1)-fold nested binomial sum over p(1) values."""
+    # only sums with a bound index read weights, and r = 1 has none
+    weights = [_binomial_weights(m, 1) for m in range(n_max + 1)] if r_max > 1 else []
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            yield {"n": n, "r": r}, conv_fib(n, r), _cor2_nested(n, r - 1)
+            yield {"n": n, "r": r}, conv_fib(n, r), _cor2_nested(n, r - 1, weights)
 
 
 @verifier("thm3")
@@ -76,13 +92,16 @@ def verify_thm3(
     Since C(n,l) = C(n,n-l), the substitution l -> n-l maps it onto this
     sum term for term, whatever values p takes, so it is not summed again.
     """
+    if not x_values:
+        return  # no cells, so no factors to build
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
+            weights = _binomial_weights(n, r)
             for x in x_values:
                 yield (
                     {"n": n, "r": r, "x": x},
                     conv_fib(n, x),
-                    sum(comb(n, l) * conv_fib(l, r) * conv_fib(n - l, x - r) for l in range(n + 1)),
+                    sum(w * conv_fib(n - l, x - r) for l, w in enumerate(weights)),
                 )
 
 
@@ -165,20 +184,33 @@ def verify_thm7(
     x_values: Iterable[int] = range(1, 6),
     triangle: Optional[CoeffTriangle] = None,
 ) -> VerificationReport:
-    """p_{k+N}(x) against the double sum over the triangle row N."""
+    """p_{k+N}(x) against the double sum over the triangle row N,
+
+        sum_i sum_l C(k,l) (N-2i)_l 2^l a_i(N) <x>_{N-i} p_{k-l}(x+N-i),
+
+    evaluated literally, term by term.  Each factor is read once where it
+    stops varying: <x>_m for every x and m <= n_max once per grid,
+    C(k,l) 2^l once per k, a_i(N) <x>_{N-i} once per i, and (N-2i)_l as a
+    running product over l.
+    """
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
+    if not x_values:
+        return  # no cells, so no factors to build
+    rising = {x: [factorial_powers(x, m)[1] for m in range(n_max + 1)] for x in x_values}
     for k in range(k_max + 1):
+        scaled = [comb(k, l) * 2**l for l in range(k + 1)]
         for n in range(n_max + 1):
             for x in x_values:
                 lhs = conv_fib(k + n, x)
                 rhs = 0
                 for i, a in enumerate(triangle.row(n)):
-                    rising = factorial_powers(x, n - i)[1]
+                    outer = a * rising[x][n - i]
+                    falling = 1  # (N-2i)_l, one factor more per term
                     for l in range(k + 1):
-                        falling = factorial_powers(n - 2 * i, l)[0]
-                        term = comb(k, l) * falling * 2**l * a * rising
-                        rhs += term * conv_fib(k - l, x + n - i)
+                        if l:
+                            falling *= n - 2 * i - l + 1
+                        rhs += scaled[l] * falling * outer * conv_fib(k - l, x + n - i)
                 yield {"k": k, "N": n, "x": x}, lhs, rhs
 
 

@@ -101,6 +101,17 @@ class TestThreeAlgorithms:
         with pytest.raises(ValueError):
             conv_fib_by_nested_sum(3, 0)
 
+    def test_nested_sum_reads_each_fibonacci_number_once(self, monkeypatch):
+        reads = []
+
+        def counted(l):
+            reads.append(l)
+            return fib(l)
+
+        monkeypatch.setattr(convolved, "fib", counted)
+        assert conv_fib_by_nested_sum(25, 5) == conv_fib_row_holonomic(5, 25)[25]
+        assert sorted(reads) == list(range(26))
+
     def test_recurrence_needs_positive_argument(self):
         with pytest.raises(ValueError):
             conv_fib_row_by_recurrence(0, 3)

@@ -32,6 +32,7 @@ from convfib.identities import (
     verify_thm6,
     verify_thm7,
 )
+from convfib.report import UsageError
 
 
 class TestGridsPass:
@@ -129,6 +130,73 @@ class TestThm3:
         }
         # n <= 4: 5 * 6 r * 11 x cells, then x = -2..2 at n = 5, r = 1
         assert report.cells == 335
+
+
+class TestHoistedFactors:
+    """Factors read once per row or grid still come through the module
+    global ``conv_fib``, and cells are scanned in the same order: a value
+    off by one at one point fails at the first cell that reads it."""
+
+    @staticmethod
+    def wrong_at(monkeypatch, point):
+        def wrong(n, r):
+            return conv_fib(n, r) + ((n, r) == point)
+
+        monkeypatch.setattr(identities, "conv_fib", wrong)
+
+    def test_prop1_weight_off_by_one(self, monkeypatch):
+        # p_3(1) is the l = 3 weight of every n = 3 cell; there p_0(x-1) = 1
+        self.wrong_at(monkeypatch, (3, 1))
+        report = verify_prop1()
+        assert report.counterexample == {"params": {"n": 3, "x": -3}, "lhs": "30", "rhs": "31"}
+        assert report.cells == 3 * 12 + 1
+
+    def test_cor2_weight_off_by_one(self, monkeypatch):
+        # at r = 1 both sides read p_5(1); at r = 2 it is the first and the last term
+        self.wrong_at(monkeypatch, (5, 1))
+        report = verify_cor2()
+        assert report.counterexample == {"params": {"n": 5, "r": 2}, "lhs": "4560", "rhs": "4562"}
+        assert report.cells == 5 * 4 + 2
+
+    def test_thm7_inner_value_off_by_one(self, monkeypatch):
+        # first read at k = 1, l = 0, i = 0, N = 2, x = 5, with factor <5>_2 = 30
+        self.wrong_at(monkeypatch, (1, 7))
+        report = verify_thm7()
+        assert report.counterexample == {
+            "params": {"k": 1, "N": 2, "x": 5}, "lhs": "390", "rhs": "420"
+        }
+        assert report.cells == 9 * 5 + 2 * 5 + 5
+
+    def test_thm7_triangle_entry_off_by_one(self):
+        # at k = 0 the extra a_2(5) adds <1>_3 = 6 at x = 1
+        triangle = CoeffTriangle.from_recurrence(8)
+        report = verify_thm7(triangle=triangle.with_entry(5, 2, triangle.entry(5, 2) + 1))
+        assert report.counterexample == {
+            "params": {"k": 0, "N": 5, "x": 1}, "lhs": "960", "rhs": "966"
+        }
+        assert report.cells == 5 * 5 + 1
+
+    @staticmethod
+    def refuse_comb(monkeypatch):
+        def refuse(n, l):
+            raise AssertionError("a binomial factor was built")
+
+        monkeypatch.setattr(identities, "comb", refuse)
+
+    @pytest.mark.parametrize("verify,grid", [
+        (verify_prop1, {"x_values": []}),
+        (verify_thm3, {"x_values": []}),
+        (verify_thm7, {"x_values": []}),
+        (verify_cor2, {"r_max": 0}),
+    ])
+    def test_a_grid_with_no_cells_builds_no_factors(self, monkeypatch, verify, grid):
+        self.refuse_comb(monkeypatch)
+        with pytest.raises(UsageError, match="no cells"):
+            verify(**grid)
+
+    def test_cor2_at_r_one_builds_no_weights(self, monkeypatch):
+        self.refuse_comb(monkeypatch)
+        assert verify_cor2(r_max=1).passed
 
 
 class TestSharedRowCode:
