@@ -49,7 +49,8 @@ class TruncationTooShort(UsageError):
 
 
 class IndexOutOfTriangle(IndexError):
-    """Asked for a_i(N) with i outside 0 <= i <= floor((N+1)/2)."""
+    """Asked for a_i(N) with i outside 0 <= i <= floor((N+1)/2), or built a
+    triangle whose row N holds no entry or more than floor((N+1)/2) + 1."""
 
 
 def _exact_int(value: Fraction) -> int:
@@ -184,6 +185,11 @@ def rising_factorial_poly(k: int) -> Poly:
 
 # -- the coefficient triangle -------------------------------------------------
 
+def _width(n: int) -> int:
+    """The number of entries in row N: i = 0 .. floor((N+1)/2)."""
+    return (n + 1) // 2 + 1
+
+
 def _chain_sum(depth: int, upper: int, memo: dict[tuple[int, int], int]) -> int:
     """The nested sum over chains k_depth <= upper, k_{j} <= k_{j+1} + 1 of
     the product of all k_j.  Empty ranges contribute 0; depth 0 is 1.
@@ -208,7 +214,7 @@ def triangle_closed(n: int, i: int) -> int:
     """a_i(N) from the closed nested-sum form, independent of the recurrence."""
     if n < 0:
         raise UsageError("row index must be >= 0")
-    if not 0 <= i <= (n + 1) // 2:
+    if not 0 <= i < _width(n):
         raise IndexOutOfTriangle(f"a_{i}({n}) lies outside the triangle")
     return _closed_entry(n, i, {})
 
@@ -219,9 +225,8 @@ def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:
     Entries beyond the stored row count as zero, which reproduces the
     odd-row zero diagonal without special-casing.
     """
-    width = (n + 2) // 2 + 1  # row n+1 holds i = 0 .. floor((n+2)/2)
     row = [1]
-    for i in range(1, width):
+    for i in range(1, _width(n + 1)):
         above = prev[i] if i < len(prev) else 0
         row.append(2 * (n - 2 * i + 2) * prev[i - 1] + above)
     return tuple(row)
@@ -234,9 +239,15 @@ def _recurrence_rows(n_max: int) -> Iterator[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class CoeffTriangle:
-    """Rows of a_i(N) for 0 <= N <= n_max, 0 <= i <= floor((N+1)/2)."""
+    """Rows of a_i(N) for 0 <= N <= n_max, 0 <= i <= floor((N+1)/2); a row
+    with no entry or with more entries raises :class:`IndexOutOfTriangle`."""
 
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        for n, row in enumerate(self.rows):
+            if not 0 < len(row) <= _width(n):
+                raise IndexOutOfTriangle(f"row {n} has {len(row)} entries, not 1..{_width(n)}")
 
     @classmethod
     def from_recurrence(cls, n_max: int) -> CoeffTriangle:
@@ -252,7 +263,7 @@ class CoeffTriangle:
             raise UsageError("n_max must be >= 0")
         memo: dict[tuple[int, int], int] = {}
         return cls(tuple(
-            tuple(_closed_entry(n, i, memo) for i in range((n + 1) // 2 + 1))
+            tuple(_closed_entry(n, i, memo) for i in range(_width(n)))
             for n in range(n_max + 1)
         ))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import inspect
 from math import comb, factorial
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from convfib.convolved import (
     CoeffTriangle,
@@ -39,36 +39,40 @@ from convfib.report import UsageError, VerificationReport, verifier
 from convfib.series import Series
 
 
-@verifier("prop1")
-def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> VerificationReport:
-    """p_n(x) = sum_l C(n,l) p_l(1) p_{n-l}(x-1) over the (n, x) grid."""
-    if not x_values:
-        return  # no cells, so no factors to build
-    for n in range(n_max + 1):
-        weights = _binomial_weights(n, 1)
-        for x in x_values:
-            yield (
-                {"n": n, "x": x},
-                conv_fib(n, x),
-                sum(w * conv_fib(n - l, x - 1) for l, w in enumerate(weights)),
-            )
-
-
 def _binomial_weights(n: int, r: int) -> list[int]:
     """[C(n,l) p_l(r) for l = 0 .. n], the factors that a row of cells shares."""
     return [comb(n, l) * conv_fib(l, r) for l in range(n + 1)]
 
 
-def _cor2_nested(n: int, levels: int, weights: Optional[list[list[int]]] = None) -> int:
-    """The literal nested binomial sum with ``levels`` bound indices.
+def _binomial_cells(
+    n_max: int, r_values: Iterable[int], x_values: list[int]
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """(n, r, x, p_n(x), sum_l C(n,l) p_l(r) p_{n-l}(x-r)) for n <= n_max,
+    then r in ``r_values``, then x in ``x_values``: the product rule
+    F(t,x) = F(t,r) F(t,x-r) read off at t^n/n!."""
+    if not x_values:
+        return  # no cells, so no factors to build
+    for n in range(n_max + 1):
+        for r in r_values:
+            weights = _binomial_weights(n, r)
+            for x in x_values:
+                yield n, r, x, conv_fib(n, x), sum(
+                    w * conv_fib(n - l, x - r) for l, w in enumerate(weights)
+                )
 
-    ``weights[m]`` is :func:`_binomial_weights` ``(m, 1)`` for every m <= n,
-    built here when not given.
-    """
+
+@verifier("prop1")
+def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> VerificationReport:
+    """p_n(x) = sum_l C(n,l) p_l(1) p_{n-l}(x-1) over the (n, x) grid: thm3's cells at r = 1."""
+    for n, _, x, lhs, rhs in _binomial_cells(n_max, [1], x_values):
+        yield {"n": n, "x": x}, lhs, rhs
+
+
+def _cor2_nested(n: int, levels: int, weights: list[list[int]]) -> int:
+    """The literal nested binomial sum with ``levels`` bound indices, where
+    ``weights[m]`` is :func:`_binomial_weights` ``(m, 1)`` for every m <= n."""
     if levels == 0:
         return conv_fib(n, 1)
-    if weights is None:
-        weights = [_binomial_weights(m, 1) for m in range(n + 1)]
     return sum(w * _cor2_nested(n - l, levels - 1, weights) for l, w in enumerate(weights[n]))
 
 
@@ -92,17 +96,8 @@ def verify_thm3(
     Since C(n,l) = C(n,n-l), the substitution l -> n-l maps it onto this
     sum term for term, whatever values p takes, so it is not summed again.
     """
-    if not x_values:
-        return  # no cells, so no factors to build
-    for n in range(n_max + 1):
-        for r in range(1, r_max + 1):
-            weights = _binomial_weights(n, r)
-            for x in x_values:
-                yield (
-                    {"n": n, "r": r, "x": x},
-                    conv_fib(n, x),
-                    sum(w * conv_fib(n - l, x - r) for l, w in enumerate(weights)),
-                )
+    for n, r, x, lhs, rhs in _binomial_cells(n_max, range(1, r_max + 1), x_values):
+        yield {"n": n, "r": r, "x": x}, lhs, rhs
 
 
 @verifier("cor4")

@@ -202,14 +202,12 @@ class Poly:
         return _make(tuple(-n for n in self._nums), self._den)
 
     def __sub__(self, other: Poly | Scalar) -> Poly:
-        if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, (Poly, int, Fraction)):
             return NotImplemented
-        return _sum(self, -other)
+        return self + -other
 
     def __rsub__(self, other: Scalar) -> Poly:
-        return _sum(Poly.constant(other), -self)
+        return -self + other
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):

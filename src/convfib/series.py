@@ -9,10 +9,9 @@ Equality demands the same order and identical coefficients; compare
 through a common prefix by truncating first.
 
 Products, inverses and exponentials build each coefficient as one
-convolution sum.  Over Q[x] that sum is a single
+convolution sum, :meth:`Series._dot`.  Over Q[x] that sum is a single
 :func:`~convfib.poly.sum_of_products` on integer numerators, reduced
-once per coefficient (``_poly_dot``); over Q the Fraction terms are
-added one by one (``_dot``).  The ring is chosen once per operation.
+once per coefficient; over Q the Fraction terms are added one by one.
 
 The transcendental operations work through the logarithmic derivative:
 ``log`` integrates a'/a and ``exp`` solves E' = a'E term by term.  Both
@@ -23,13 +22,14 @@ integration index occur.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from convfib.poly import Poly, sum_of_products
 from convfib.report import UsageError
 
 Coeff = Union[Fraction, Poly]
 CoeffLike = Union[int, Fraction, Poly]
+_Q_ZERO = Fraction(0)  # shared: a new Fraction(0) per coefficient adds ~4% at order 15
 
 
 class NonInvertibleConstantTerm(ValueError):
@@ -56,21 +56,6 @@ def _coerce(values: Iterable[CoeffLike]) -> tuple[Coeff, ...]:
     if poly:
         return tuple(c if isinstance(c, Poly) else Poly.constant(c) for c in out)
     return tuple(out)
-
-
-def _dot(support: list[tuple[int, Coeff]], seq: Sequence[Coeff], n: int, zero: Coeff) -> Coeff:
-    """Sum of c * seq[n - k] over the (k, c) of ``support``, ascending in k, with k <= n."""
-    acc = zero
-    for k, c in support:
-        if k > n:
-            break
-        acc = acc + c * seq[n - k]
-    return acc
-
-
-def _poly_dot(support: list[tuple[int, Poly]], seq: Sequence[Poly], n: int, _zero: Poly) -> Poly:
-    """:func:`_dot` over Q[x]: one :func:`~convfib.poly.sum_of_products`, reduced once."""
-    return sum_of_products([(c, seq[n - k]) for k, c in support if k <= n])
 
 
 class Series:
@@ -163,6 +148,28 @@ class Series:
             raise NonInvertibleConstantTerm("constant term is zero")
         return 1 / c
 
+    def _dot(self, support: list[tuple[int, Coeff]], seq: Sequence[Coeff], n: int) -> Coeff:
+        """Sum of c * seq[n - k] over the (k, c) of ``support``, ascending in k,
+        with k <= n, in this series' ring: one reduced sum of products over Q[x]."""
+        if self._poly:
+            return sum_of_products([(c, seq[n - k]) for k, c in support if k <= n])
+        acc = _Q_ZERO
+        for k, c in support:
+            if k > n:
+                break
+            acc = acc + c * seq[n - k]
+        return acc
+
+    def _recur(
+        self, first: Coeff, support: list[tuple[int, Coeff]], finish: Callable[[int, Coeff], Coeff]
+    ) -> Series:
+        """The series [first, ...] through this order with
+        out[n] = finish(n, sum of c * out[n - k] over the (k, c) of ``support``)."""
+        out = [first]
+        for n in range(1, self.order + 1):
+            out.append(finish(n, self._dot(support, out, n)))
+        return Series(out)
+
     @staticmethod
     def _common(a: Series, b: Series) -> tuple[Series, Series]:
         if a._poly != b._poly:
@@ -181,9 +188,7 @@ class Series:
     def __sub__(self, other: Series) -> Series:
         if not isinstance(other, Series):
             return NotImplemented
-        a, b = Series._common(self, other)
-        order = min(a.order, b.order)
-        return Series([a._coeffs[k] - b._coeffs[k] for k in range(order + 1)])
+        return self + -other
 
     def __neg__(self) -> Series:
         return Series([-c for c in self._coeffs])
@@ -206,14 +211,9 @@ class Series:
             a, b = b, a
         # Cauchy product; iterate only over the sparser factor's support.
         support = [(k, c) for k, c in enumerate(a._coeffs[: order + 1]) if c]
-        zero = a._zero_coeff()
-        dot = _poly_dot if a._poly else _dot
-        return Series([dot(support, b._coeffs, n, zero) for n in range(order + 1)])
+        return Series([a._dot(support, b._coeffs, n) for n in range(order + 1)])
 
-    def __rmul__(self, other: CoeffLike) -> Series:
-        if isinstance(other, (int, Fraction, Poly)):
-            return self._scaled(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def inverse(self) -> Series:
         """Multiplicative inverse: self * self.inverse() == 1 through the order.
@@ -223,12 +223,7 @@ class Series:
         """
         c0_inv = self._invert_coeff(self._coeffs[0])
         support = [(k, c) for k, c in enumerate(self._coeffs) if k and c]
-        out: list[Coeff] = [c0_inv]
-        zero = self._zero_coeff()
-        dot = _poly_dot if self._poly else _dot
-        for n in range(1, self.order + 1):
-            out.append(-(c0_inv * dot(support, out, n, zero)))
-        return Series(out)
+        return self._recur(c0_inv, support, lambda n, acc: -(c0_inv * acc))
 
     def __pow__(self, exponent: int) -> Series:
         """Integer power by repeated squaring; negative powers invert first."""
@@ -281,14 +276,9 @@ class Series:
         """
         if self._coeffs[0] != self._zero_coeff():
             raise BadConstantTerm(f"exp needs constant term 0, got {self._coeffs[0]}")
+        # n * e_n = sum_{k=1..n} k a_k e_{n-k}
         support = [(k, c * k) for k, c in enumerate(self._coeffs) if k and c]
-        zero = self._zero_coeff()
-        dot = _poly_dot if self._poly else _dot
-        out: list[Coeff] = [self._one_coeff()]
-        for n in range(1, self.order + 1):
-            # n * e_n = sum_{k=1..n} k a_k e_{n-k}
-            out.append(dot(support, out, n, zero) / n)
-        return Series(out)
+        return self._recur(self._one_coeff(), support, lambda n, acc: acc / n)
 
     # -- comparison / display ---------------------------------------------
 

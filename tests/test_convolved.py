@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib import convolved
+from convfib import cli, convolved
 from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
@@ -251,9 +251,8 @@ class TestTriangleGroundTruth:
             assert all(a >= 0 for a in row)
 
     def test_row_widths(self):
-        triangle = triangle_recurrence(12)
-        for n in range(13):
-            assert len(triangle.row(n)) == (n + 1) // 2 + 1
+        for triangle in (CoeffTriangle.from_recurrence(60), CoeffTriangle.from_closed_form(60)):
+            assert [len(row) for row in triangle.rows] == [(n + 1) // 2 + 1 for n in range(61)]
 
     def test_recurrence_holds_on_stored_entries(self):
         """a_i(N+1) = 2(N - 2i + 2) a_{i-1}(N) + a_i(N)."""
@@ -306,6 +305,25 @@ class TestTriangleClosedForm:
         assert mutated.entry(5, 2) == 61
         assert mutated.entry(5, 1) == triangle.entry(5, 1)
         assert triangle.entry(5, 2) == 60  # original untouched
+
+
+class TestTriangleShape:
+    """Row N of a triangle holds 1 to floor((N+1)/2) + 1 entries, or it is not built."""
+
+    @pytest.mark.parametrize("rows", [
+        ((1, 5), (1, 0)),  # row 0 holds two entries
+        ((1,), (1, 0), (1, 2, 0)),  # row 2 holds three
+        ((1,), ()),  # row 1 holds none
+    ])
+    def test_a_row_that_does_not_fit_is_refused(self, rows):
+        with pytest.raises(IndexOutOfTriangle):
+            CoeffTriangle(rows)
+
+    def test_a_row_step_one_entry_too_wide_is_a_crash(self, capsys, monkeypatch):
+        step = convolved._next_row
+        monkeypatch.setattr(convolved, "_next_row", lambda prev, n: step(prev, n) + (0,))
+        assert cli.main(["verify", "thm7"]) == 3
+        assert "IndexOutOfTriangle: row 1 has 3 entries, not 1..2" in capsys.readouterr().err
 
 
 class TestPolynomialForms:

@@ -19,6 +19,7 @@ from convfib.convolved import (
 from convfib.fibonacci import fib
 from convfib.identities import (
     IDENTITY_NAMES,
+    _binomial_weights,
     _cor2_nested,
     run_identity,
     verify_cor2,
@@ -150,6 +151,19 @@ class TestHoistedFactors:
         report = verify_prop1()
         assert report.counterexample == {"params": {"n": 3, "x": -3}, "lhs": "30", "rhs": "31"}
         assert report.cells == 3 * 12 + 1
+
+    def test_thm3_weight_off_by_one(self, monkeypatch):
+        # p_2(1) = 4 is the l = 2 weight of every n = 2, r = 1 cell, and no
+        # n <= 1 cell reads it.  At x = -2, with p_0..p_2(-3) = 1, -3, 0:
+        # rhs = p_2(-3) + 2 p_1(1) p_1(-3) + 5 p_0(-3) = 0 - 6 + 5 = -1,
+        # against p_2(-2) = 4 - 6 = -2
+        self.wrong_at(monkeypatch, (2, 1))
+        report = verify_thm3()
+        assert report.counterexample == {
+            "params": {"n": 2, "r": 1, "x": -2}, "lhs": "-2", "rhs": "-1"
+        }
+        # n <= 1: 2 n * 6 r * 11 x cells, then the first cell at n = 2
+        assert report.cells == 2 * 6 * 11 + 1
 
     def test_cor2_weight_off_by_one(self, monkeypatch):
         # at r = 1 both sides read p_5(1); at r = 2 it is the first and the last term
@@ -327,7 +341,8 @@ class TestCrossConsistency:
                         return fib(m)
                     return sum(fib(l) * fold(m - l, depth - 1) for l in range(m + 1))
 
-                assert factorial(n) * fold(n, r) == _cor2_nested(n, r)
+                weights = [_binomial_weights(m, 1) for m in range(n + 1)]
+                assert factorial(n) * fold(n, r) == _cor2_nested(n, r, weights)
 
 
 class TestReports:

@@ -135,6 +135,7 @@ class TestRandomizedAgainstFractionLists:
         scaled = ref_trim([c * s for c in a])
         assert (p * s).coefficients == (s * p).coefficients == scaled
         assert (p + s).coefficients == ref_add(a, [s])
+        assert (s - p).coefficients == ref_add([s], [-c for c in a])
         if s:
             assert (p / s).coefficients == ref_trim([c / s for c in a])
             assert_canonical(p / s)

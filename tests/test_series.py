@@ -289,10 +289,8 @@ class TestPolyCoefficients:
 
 ORDER = 5
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
-RING_ELEMENTS = {
-    "Q": RATIONALS,
-    "Q[x]": st.lists(RATIONALS, max_size=3).map(Poly),
-}
+POLYS = st.lists(RATIONALS, max_size=3).map(Poly)
+RING_ELEMENTS = {"Q": RATIONALS, "Q[x]": POLYS}
 
 
 @st.composite
@@ -314,6 +312,9 @@ class TestRandomizedRingLaws:
         a, b, c = (data.draw(series(ring)) for _ in range(3))
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+        assert a - b == a + (-b)
+        for scalar in (data.draw(st.integers(-9, 9)), data.draw(RATIONALS), data.draw(POLYS)):
+            assert scalar * a == a * scalar
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
