@@ -353,8 +353,7 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
 def conv_fib_poly_genfun(order: int) -> Series:
     """F = exp(x * (-log(1 - t - t^2))) = sum_N p_N(x) t^N / N! over Q[x],
     through t^order, built symbolically with no triangle involved."""
-    neg_log = -(base_series(order).log())
-    return (neg_log.lift() * Poly.x()).exp()
+    return (base_series(order).log() * -Poly.x()).exp()
 
 
 def conv_fib_poly_oracle(n: int, order: int, genfun: Series | None = None) -> Poly:

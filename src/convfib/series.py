@@ -2,26 +2,31 @@
 
 A series stores exactly ``order + 1`` coefficients: it is known exactly
 through t**order and unknown beyond.  Coefficients are either Fraction
-(series over Q) or :class:`~convfib.poly.Poly` (series over Q[x]); mixed
-constructions are lifted to the polynomial ring.  Every binary operation
+(series over Q) or :class:`~convfib.poly.Poly` (series over Q[x]).
+Mixed operands meet through their coefficients: a Fraction and a Poly
+combine through Poly's operators, and the constructor lifts any list
+that holds a Poly.  A mixed product lifts both factors first, only so
+that it runs on the integer kernel of Q[x].  Every binary operation
 returns a series whose order is the minimum of the operand orders.
 Equality demands the same order and identical coefficients; compare
 through a common prefix by truncating first.
 
-Products, inverses and exponentials build each coefficient as one
-convolution sum, :meth:`Series._dot`.  Over Q[x] that sum is a single
-:func:`~convfib.poly.sum_of_products` on integer numerators, reduced
-once per coefficient; over Q the Fraction terms are added one by one.
+Products, inverses, logarithms and exponentials build each coefficient
+as one convolution sum, :meth:`Series._dot`.  Over Q[x] that sum is a
+single :func:`~convfib.poly.sum_of_products` on integer numerators,
+reduced once per coefficient; over Q the Fraction terms are added one by
+one.
 
-The transcendental operations work through the logarithmic derivative:
-``log`` integrates a'/a and ``exp`` solves E' = a'E term by term.  Both
-stay inside the coefficient ring because only scalar divisions by the
-integration index occur.
+``inverse``, ``log`` and ``exp`` are recurrences run by
+:meth:`Series._recur`: ``log`` solves a*L' = a' for E_n = n*L_n, then
+divides by n, and ``exp`` solves E' = a'E.  Only scalar divisions by the
+index occur, so both stay inside the coefficient ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Sequence, Union
 
 from convfib.poly import Poly, sum_of_products
@@ -170,20 +175,12 @@ class Series:
             out.append(finish(n, self._dot(support, out, n)))
         return Series(out)
 
-    @staticmethod
-    def _common(a: Series, b: Series) -> tuple[Series, Series]:
-        if a._poly != b._poly:
-            a, b = a.lift(), b.lift()
-        return a, b
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: Series) -> Series:
         if not isinstance(other, Series):
             return NotImplemented
-        a, b = Series._common(self, other)
-        order = min(a.order, b.order)
-        return Series([a._coeffs[k] + b._coeffs[k] for k in range(order + 1)])
+        return Series(map(add, self._coeffs, other._coeffs))
 
     def __sub__(self, other: Series) -> Series:
         if not isinstance(other, Series):
@@ -193,17 +190,14 @@ class Series:
     def __neg__(self) -> Series:
         return Series([-c for c in self._coeffs])
 
-    def _scaled(self, scalar: CoeffLike) -> Series:
-        if isinstance(scalar, Poly) and not self._poly:
-            return self.lift()._scaled(scalar)
-        return Series([c * scalar for c in self._coeffs])
-
     def __mul__(self, other: Series | CoeffLike) -> Series:
         if isinstance(other, (int, Fraction, Poly)):
-            return self._scaled(other)
+            return Series([c * other for c in self._coeffs])
         if not isinstance(other, Series):
             return NotImplemented
-        a, b = Series._common(self, other)
+        if self._poly != other._poly:  # mixed rings: multiply on the Q[x] kernel
+            return self.lift() * other.lift()
+        a, b = self, other
         order = min(a.order, b.order)
         za = sum(1 for c in a._coeffs[: order + 1] if c)
         zb = sum(1 for c in b._coeffs[: order + 1] if c)
@@ -254,20 +248,18 @@ class Series:
         return Series([self._coeffs[k] * k for k in range(1, self.order + 1)])
 
     def log(self) -> Series:
-        """Series logarithm via termwise integration of a'/a.
+        """Series logarithm L, the L(0) = 0 solution of a * L' = a'.
 
+        Reading t^(n-1) of a * L' = a' with a_0 = 1 gives, for E_n = n*L_n,
+        E_n = n*a_n - sum_{k=1..n-1} a_k E_{n-k}; L_n is E_n / n.
         Requires constant term exactly 1 (:class:`BadConstantTerm` otherwise).
         """
         if self._coeffs[0] != self._one_coeff():
             raise BadConstantTerm(f"log needs constant term 1, got {self._coeffs[0]}")
-        zero = self._zero_coeff()
-        if self.order == 0:
-            return Series([zero])
-        ratio = self.derivative() * self.inverse()
-        out: list[Coeff] = [zero]
-        for n, c in enumerate(ratio._coeffs, start=1):
-            out.append(c / n)
-        return Series(out)
+        a = self._coeffs
+        support = [(k, c) for k, c in enumerate(a) if k and c]  # k = n reads E_0 = 0
+        e = self._recur(self._zero_coeff(), support, lambda n, acc: a[n] * n - acc)._coeffs
+        return Series([e[0], *(e[n] / n for n in range(1, len(e)))])
 
     def exp(self) -> Series:
         """Series exponential: solves E' = a'E with E(0) = 1.
@@ -285,8 +277,7 @@ class Series:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        a, b = Series._common(self, other)
-        return a._coeffs == b._coeffs
+        return self._coeffs == other._coeffs
 
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self._coeffs[:8])

@@ -130,6 +130,27 @@ class TestTable:
         assert json.loads(out) == {"N": 2, "rising": ["1", "2"], "monomial": ["0", "3", "1"]}
 
 
+# Table and fib output pinned byte for byte: file name under tests/golden -> argv.
+GOLDEN_TABLES = {
+    "table_triangle_n-max_30.csv": "table --mode triangle --n-max 30",
+    "table_triangle_n-max_8.json": "table --mode triangle --n-max 8 --format json",
+    "table_poly_n_20.json": "table --mode poly --n 20",
+    **{
+        f"table_values_r_{r}_n-max_60.csv": f"table --mode values --r={r} --n-max 60"
+        for r in (-9, 0, 1, 9)
+    },
+    "fib_from_-30_to_90.csv": "fib --from=-30 --to 90",
+    "fib_from_-3_to_12.json": "fib --from=-3 --to 12 --format json",
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TABLES)
+def test_table_matches_golden_file(capsys, name):
+    code, out = run_cli(capsys, *GOLDEN_TABLES[name].split())
+    assert code == 0
+    assert out.encode() == (GOLDEN / name).read_bytes()
+
+
 class TestVerify:
     def test_single_identity_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "cor2", "--n-max", "8", "--r-max", "2")

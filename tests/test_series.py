@@ -194,6 +194,19 @@ class TestLogExp:
             assert a.log().exp() == a
             assert b.exp().log() == b
 
+    def test_log_is_one_recurrence(self, monkeypatch):
+        """log builds no derivative, inverse or series product, over Q or Q[x]."""
+        base = Series.from_polynomial((1, -1, -1), 8)
+        expected = base.log()
+
+        def refuse(*args):
+            raise AssertionError("log must not call this")
+
+        for name in ("inverse", "derivative", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Series, name, refuse)
+        assert base.log() == expected
+        assert base.lift().log().coefficients == expected.coefficients
+
     def test_log_requires_unit_constant(self):
         with pytest.raises(BadConstantTerm):
             Series.from_polynomial((2, 1), 4).log()
@@ -280,11 +293,29 @@ class TestPolyCoefficients:
         assert scaled.is_poly_ring()
         assert scaled.coefficient(0) == Poly.x()
 
-    def test_mixed_ring_arithmetic_lifts(self):
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mixed_ring_arithmetic_lifts(self, data):
+        """A series over Q meets one over Q[x], or a Poly scalar, as its lift
+        would, in either operand order, and the result is over Q[x]."""
         rational = Series.from_polynomial((1, 1), 4)
-        poly = rational.lift()
-        assert (rational + poly).is_poly_ring()
-        assert rational + poly == rational * 2
+        assert (rational + rational.lift()).is_poly_ring()
+        assert rational + rational.lift() == rational * 2
+
+        rational, poly, scalar = data.draw(series("Q")), data.draw(series("Q[x]")), data.draw(POLYS)
+        lifted = rational.lift()
+        for got, want in (
+            (rational + poly, lifted + poly),
+            (poly + rational, poly + lifted),
+            (rational * poly, lifted * poly),
+            (poly * rational, poly * lifted),
+            (rational * scalar, lifted * scalar),
+            (scalar * rational, scalar * lifted),
+        ):
+            assert got.is_poly_ring()
+            assert got.coefficients == want.coefficients
+        assert (rational == poly) == (lifted == poly) == (poly == rational)
+        assert rational == lifted and lifted == rational
 
 
 ORDER = 5
@@ -359,9 +390,17 @@ def naive_exp(a: list[Poly]) -> list[Poly]:
     return out
 
 
+def naive_log(a: list[Poly]) -> list[Poly]:
+    """Termwise integral of a'/a: the derivative times the inverse, then / n."""
+    derivative = [a[k] * k for k in range(1, len(a))]
+    ratio = naive_mul(derivative, naive_inverse(a[:-1]))
+    return [Poly.zero(), *(c / n for n, c in enumerate(ratio, start=1))]
+
+
 class TestPolyRingAgainstTermByTerm:
     """Series over Q[x], whose coefficients are each one fused sum of
-    products, against the same recurrences run on plain Poly operations."""
+    products, against the same recurrences run on plain Poly operations,
+    and log against the integral of a'/a."""
 
     @settings(max_examples=12, deadline=None)
     @given(data=st.data())
@@ -369,10 +408,12 @@ class TestPolyRingAgainstTermByTerm:
         a, b = (data.draw(series("Q[x]")) for _ in range(2))
         unit = data.draw(series("Q[x]", constant=RATIONALS.filter(bool)))
         nil = data.draw(series("Q[x]", constant=st.just(0)))
+        one = data.draw(series("Q[x]", constant=st.just(1)))
         for got, want in (
             (a * b, naive_mul(list(a.coefficients), list(b.coefficients))),
             (unit.inverse(), naive_inverse(list(unit.coefficients))),
             (nil.exp(), naive_exp(list(nil.coefficients))),
+            (one.log(), naive_log(list(one.coefficients))),
         ):
             assert list(got.coefficients) == want
             assert [hash(c) for c in got.coefficients] == [hash(c) for c in want]
