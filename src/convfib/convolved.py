@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial
+from operator import mul
 from typing import Iterator
 
 from convfib.fibonacci import base_series, fib
@@ -124,7 +125,7 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
 
     def fold(m: int, depth: int) -> int:
         if depth == 1:  # the innermost sum runs over the list itself
-            return sum(fibs[l] * fibs[m - l] for l in range(m + 1))
+            return sum(map(mul, fibs[: m + 1], fibs[m::-1]))
         return sum(fibs[l] * fold(m - l, depth - 1) for l in range(m + 1))
 
     return factorial(n) * (fibs[n] if r == 1 else fold(n, r - 1))

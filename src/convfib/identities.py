@@ -6,7 +6,8 @@ that the statements give as nested sums are evaluated by literal recursive
 loops mirroring the summation structure, never by a shortcut, so each
 check really pits two different algorithms against each other.  Factors
 that do not change inside a sum (F_l, C(n,l) p_l(r), (N-2i)_l) are read
-once per row or grid, but every term is still formed and added.  Each
+once per row or grid, and so is each row p_0(r), ..., p_n(r) of values,
+but every term is still formed and added.  Each
 verifier is a generator of cells in lexicographic parameter order, and
 :func:`convfib.report.verifier` turns it into a function that reports the
 first failing cell as the counterexample.  A verifier's signature is the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import inspect
 from math import comb, factorial
+from operator import mul
 from typing import Iterable, Iterator, Optional
 
 from convfib.convolved import (
@@ -39,6 +41,22 @@ from convfib.report import UsageError, VerificationReport, verifier
 from convfib.series import Series
 
 
+class _Rows(dict):
+    """r -> [p_0(r), ..., p_{n_max}(r)], each row read on first use, once.
+
+    The values come through the module global ``conv_fib``, looked up when
+    a row is read, so a rebound global is the one read.
+    """
+
+    def __init__(self, n_max: int):
+        super().__init__()
+        self.n_max = n_max
+
+    def __missing__(self, r: int) -> list[int]:
+        row = self[r] = [conv_fib(n, r) for n in range(self.n_max + 1)]
+        return row
+
+
 def _binomial_weights(n: int, r: int) -> list[int]:
     """[C(n,l) p_l(r) for l = 0 .. n], the factors that a row of cells shares."""
     return [comb(n, l) * conv_fib(l, r) for l in range(n + 1)]
@@ -52,13 +70,12 @@ def _binomial_cells(
     F(t,x) = F(t,r) F(t,x-r) read off at t^n/n!."""
     if not x_values:
         return  # no cells, so no factors to build
+    rows = _Rows(n_max)
     for n in range(n_max + 1):
         for r in r_values:
-            weights = _binomial_weights(n, r)
+            weights = [comb(n, l) * p for l, p in enumerate(rows[r][: n + 1])]
             for x in x_values:
-                yield n, r, x, conv_fib(n, x), sum(
-                    w * conv_fib(n - l, x - r) for l, w in enumerate(weights)
-                )
+                yield n, r, x, rows[x][n], sum(map(mul, weights, rows[x - r][n::-1]))
 
 
 @verifier("prop1")
@@ -103,13 +120,10 @@ def verify_thm3(
 @verifier("cor4")
 def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
     """p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l, the step the falling-factorial row iterates."""
+    rows = _Rows(n_max)
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            yield (
-                {"n": n, "r": r},
-                conv_fib(n, r + 1),
-                _falling_step([conv_fib(m, r) for m in range(n + 1)], n),
-            )
+            yield {"n": n, "r": r}, rows[r + 1][n], _falling_step(rows[r], n)
 
 
 @verifier("thm5")
@@ -132,10 +146,13 @@ def verify_thm6(
         sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^{-(N-i)} * F
 
     exactly through order - N, for every N <= n_max.  The left side
-    differentiates F once per N; the right side multiplies the bracket by
-    F.  Each <x>_k is built once per check.  So are the powers of (1+2t)
-    and of (1-t-t^2)^{-1}, each from the one before; their coefficients are
-    integers, so they are kept over Q[x], where products run on integers.
+    differentiates F once per N.  The right side is the polynomial bracket
+    sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^i times
+    G = F / (1-t-t^2)^N, and each G is the one before divided once by
+    1 - t - t^2.  Each <x>_k is built once per check, and so are the powers
+    of (1+2t) and of 1 - t - t^2, each from the one before; their
+    coefficients are integers, so they are kept over Q[x], where products
+    run on integers.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
@@ -145,10 +162,10 @@ def verify_thm6(
     gen = conv_fib_poly_genfun(order)
     rising = [rising_factorial_poly(k) for k in range(n_max + 1)]
     one = Series.one(order).lift()
-    inv_base_pows = [one]
-    base_inv = base_series(order).inverse().lift()
-    for _ in range(n_max):
-        inv_base_pows.append(inv_base_pows[-1] * base_inv)
+    base = base_series(order).lift()
+    base_pows = [one]  # exponents 0 .. floor((n_max+1)/2), the largest i in a row
+    for _ in range((n_max + 1) // 2):
+        base_pows.append(base_pows[-1] * base)
     # exponents -1 .. n_max; -1 occurs at i = (N+1)/2 for odd N, where the
     # triangle holds a zero unless it was altered
     two_t = Series.from_polynomial((1, 2), order).lift()
@@ -156,17 +173,17 @@ def verify_thm6(
     for e in range(1, n_max + 1):
         two_t_pows[e] = two_t_pows[e - 1] * two_t
 
-    lhs = gen
+    lhs = quotient = gen
     for n in range(n_max + 1):
         if n:
             lhs = lhs.derivative()
+            quotient = quotient / base
         bracket = Series.zero(order).lift()
         for i, a in enumerate(triangle.row(n)):
-            scalar = a * rising[n - i]
-            rational = two_t_pows[n - 2 * i] * inv_base_pows[n - i]
-            bracket = bracket + rational * scalar
+            if a:
+                bracket = bracket + two_t_pows[n - 2 * i] * base_pows[i] * (a * rising[n - i])
         m = order - n
-        rhs = bracket.truncate(m) * gen.truncate(m)
+        rhs = bracket.truncate(m) * quotient.truncate(m)
         # one cell per N; a mismatch is reported at its lowest power of t
         k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
         yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
@@ -193,20 +210,21 @@ def verify_thm7(
     if not x_values:
         return  # no cells, so no factors to build
     rising = {x: [factorial_powers(x, m)[1] for m in range(n_max + 1)] for x in x_values}
+    values, inner = _Rows(k_max + n_max), _Rows(k_max)
     for k in range(k_max + 1):
         scaled = [comb(k, l) * 2**l for l in range(k + 1)]
         for n in range(n_max + 1):
             for x in x_values:
-                lhs = conv_fib(k + n, x)
                 rhs = 0
                 for i, a in enumerate(triangle.row(n)):
                     outer = a * rising[x][n - i]
+                    row = inner[x + n - i]
                     falling = 1  # (N-2i)_l, one factor more per term
                     for l in range(k + 1):
                         if l:
                             falling *= n - 2 * i - l + 1
-                        rhs += scaled[l] * falling * outer * conv_fib(k - l, x + n - i)
-                yield {"k": k, "N": n, "x": x}, lhs, rhs
+                        rhs += scaled[l] * falling * outer * row[k - l]
+                yield {"k": k, "N": n, "x": x}, values[x][k + n], rhs
 
 
 @verifier("cor8")

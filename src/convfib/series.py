@@ -11,16 +11,18 @@ returns a series whose order is the minimum of the operand orders.
 Equality demands the same order and identical coefficients; compare
 through a common prefix by truncating first.
 
-Products, inverses, logarithms and exponentials build each coefficient
+Products, quotients, logarithms and exponentials build each coefficient
 as one convolution sum, :meth:`Series._dot`.  Over Q[x] that sum is a
 single :func:`~convfib.poly.sum_of_products` on integer numerators,
 reduced once per coefficient; over Q the Fraction terms are added one by
-one.
+one.  A series times itself forms each product c_k c_{n-k} once and
+doubles the sum.
 
-``inverse``, ``log`` and ``exp`` are recurrences run by
-:meth:`Series._recur`: ``log`` solves a*L' = a' for E_n = n*L_n, then
-divides by n, and ``exp`` solves E' = a'E.  Only scalar divisions by the
-index occur, so both stay inside the coefficient ring.
+``/``, ``log`` and ``exp`` are recurrences run by :meth:`Series._recur`:
+a / b solves q*b = a, ``inverse`` is 1 / self, ``log`` solves a*L' = a'
+for E_n = n*L_n, then divides by n, and ``exp`` solves E' = a'E.  Only
+scalar divisions occur, by the divisor's constant term or by the index,
+so all of them stay inside the coefficient ring.
 """
 
 from __future__ import annotations
@@ -144,23 +146,29 @@ class Series:
             raise UsageError(f"cannot extend order {self.order} series to {order}")
         return Series(self._coeffs[: order + 1])
 
-    def _invert_coeff(self, c: Coeff) -> Coeff:
+    @staticmethod
+    def _invert_coeff(c: Coeff) -> Fraction:
+        """1 / c as a scalar, which multiplies a coefficient of either ring."""
         if isinstance(c, Poly):
             if not c.is_constant() or c.is_zero():
                 raise NonInvertibleConstantTerm(f"constant term {c} is not an invertible scalar")
-            return Poly.constant(1 / c.constant_value())
+            return 1 / c.constant_value()
         if c == 0:
             raise NonInvertibleConstantTerm("constant term is zero")
         return 1 / c
 
-    def _dot(self, support: list[tuple[int, Coeff]], seq: Sequence[Coeff], n: int) -> Coeff:
+    def _dot(
+        self, support: list[tuple[int, Coeff]], seq: Sequence[Coeff], n: int, top: int | None = None
+    ) -> Coeff:
         """Sum of c * seq[n - k] over the (k, c) of ``support``, ascending in k,
-        with k <= n, in this series' ring: one reduced sum of products over Q[x]."""
+        with k <= ``top`` (default n), in this series' ring: one reduced sum of
+        products over Q[x]."""
+        top = n if top is None else top
         if self._poly:
-            return sum_of_products([(c, seq[n - k]) for k, c in support if k <= n])
+            return sum_of_products([(c, seq[n - k]) for k, c in support if k <= top])
         acc = _Q_ZERO
         for k, c in support:
-            if k > n:
+            if k > top:
                 break
             acc = acc + c * seq[n - k]
         return acc
@@ -197,6 +205,8 @@ class Series:
             return NotImplemented
         if self._poly != other._poly:  # mixed rings: multiply on the Q[x] kernel
             return self.lift() * other.lift()
+        if other is self:
+            return self._square()
         a, b = self, other
         order = min(a.order, b.order)
         za = sum(1 for c in a._coeffs[: order + 1] if c)
@@ -209,15 +219,40 @@ class Series:
 
     __rmul__ = __mul__
 
+    def _square(self) -> Series:
+        """self * self from half the products: t^n gets twice the sum of
+        c_k c_{n-k} over k < n - k, plus c_{n/2}**2 when n is even."""
+        c = self._coeffs
+        support = [(k, v) for k, v in enumerate(c) if v]
+        out = []
+        for n in range(len(c)):
+            half = self._dot(support, c, n, (n - 1) // 2)
+            out.append(half + half + c[n // 2] * c[n // 2] if n % 2 == 0 else half + half)
+        return Series(out)
+
+    def __truediv__(self, other: Series) -> Series:
+        """The q with q * other == self through the lower order, one
+        coefficient at a time: q_n = (a_n - sum_{k>=1} b_k q_{n-k}) / b_0.
+
+        Raises :class:`NonInvertibleConstantTerm` when b_0 is zero or, over
+        Q[x], not a nonzero constant polynomial.
+        """
+        if not isinstance(other, Series):
+            return NotImplemented
+        if self._poly != other._poly:  # mixed rings: divide over Q[x]
+            return self.lift() / other.lift()
+        a = self if self.order <= other.order else self.truncate(other.order)
+        num = a._coeffs
+        b0_inv = self._invert_coeff(other._coeffs[0])
+        support = [(k, c) for k, c in enumerate(other._coeffs[: a.order + 1]) if k and c]
+        return a._recur(num[0] * b0_inv, support, lambda n, acc: (num[n] - acc) * b0_inv)
+
     def inverse(self) -> Series:
         """Multiplicative inverse: self * self.inverse() == 1 through the order.
 
-        Raises :class:`NonInvertibleConstantTerm` when the constant term is
-        zero or, over Q[x], not a nonzero constant polynomial.
+        Raises :class:`NonInvertibleConstantTerm` as division does.
         """
-        c0_inv = self._invert_coeff(self._coeffs[0])
-        support = [(k, c) for k, c in enumerate(self._coeffs) if k and c]
-        return self._recur(c0_inv, support, lambda n, acc: -(c0_inv * acc))
+        return Series.from_polynomial((self._one_coeff(),), self.order) / self
 
     def __pow__(self, exponent: int) -> Series:
         """Integer power by repeated squaring; negative powers invert first."""

@@ -1,0 +1,79 @@
+"""Failing reports pinned byte for byte.
+
+A faster right side must still report the same first failing cell with
+the same two values.  Each case alters one input, either one triangle
+entry or ``identities.conv_fib`` at one point, and its report is compared
+with ``tests/golden/mutated_reports.ndjson``.  Regenerate that file only
+from a tree whose reports are known good:
+
+    PYTHONPATH=src python tests/test_golden_reports.py > tests/golden/mutated_reports.ndjson
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Callable, Iterator
+
+import pytest
+
+from convfib import identities
+from convfib.convolved import CoeffTriangle, conv_fib
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "mutated_reports.ndjson"
+
+# the triangle consumers, each on a grid that reads every entry of rows 0..8
+TRIANGLE_CHECKS: dict[str, Callable] = {
+    "thm6": lambda t: identities.verify_thm6(8, 24, triangle=t),
+    "cor8": lambda t: identities.verify_cor8(8, range(-3, 5), triangle=t),
+    "cor9": lambda t: identities.verify_cor9(8, triangle=t),
+    "thm7": lambda t: identities.verify_thm7(6, 8, range(-2, 4), triangle=t),
+}
+
+# the readers of identities.conv_fib, on reduced grids
+VALUE_CHECKS: dict[str, Callable] = {
+    "prop1": lambda: identities.verify_prop1(12, range(-3, 6)),
+    "cor2": lambda: identities.verify_cor2(10, 4),
+    "thm3": lambda: identities.verify_thm3(12, 4, range(-2, 6)),
+    "cor4": lambda: identities.verify_cor4(14, 4),
+    "thm5": lambda: identities.verify_thm5(10, 3),
+    "thm7": lambda: identities.verify_thm7(8, 6, range(-2, 5)),
+    "cor8": lambda: identities.verify_cor8(10, range(-3, 6)),
+    "cor9": lambda: identities.verify_cor9(12),
+    "holo": lambda: identities.verify_holo(12, 4),
+}
+VALUE_POINTS = [(0, 1), (2, 1), (3, -2), (5, 2), (1, 7), (7, 4), (10, 3)]
+
+
+def mutated_reports(monkeypatch: pytest.MonkeyPatch) -> Iterator[dict]:
+    """One record per (mutation, check), in a fixed order."""
+    triangle = CoeffTriangle.from_recurrence(8)
+    for n, row in enumerate(triangle.rows):
+        for i, a in enumerate(row):
+            for delta in (1, -3):
+                mutant = triangle.with_entry(n, i, a + delta)
+                for name, check in TRIANGLE_CHECKS.items():
+                    report = check(mutant).to_json_dict()
+                    yield {"entry": [n, i], "delta": delta, "check": name, "report": report}
+    for point in VALUE_POINTS:
+        def wrong(n: int, r: int, point: tuple[int, int] = point) -> int:
+            return conv_fib(n, r) + ((n, r) == point)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "conv_fib", wrong)
+            for name, check in VALUE_CHECKS.items():
+                yield {"conv_fib_wrong_at": list(point), "check": name, "report": check().to_json_dict()}
+
+
+def lines(monkeypatch: pytest.MonkeyPatch) -> list[str]:
+    return [json.dumps(record) for record in mutated_reports(monkeypatch)]
+
+
+def test_mutated_reports_match_the_golden_file(monkeypatch):
+    golden = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert lines(monkeypatch) == golden
+
+
+if __name__ == "__main__":
+    with pytest.MonkeyPatch.context() as mp:
+        print("\n".join(lines(mp)))

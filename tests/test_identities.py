@@ -34,6 +34,7 @@ from convfib.identities import (
     verify_thm7,
 )
 from convfib.report import UsageError
+from convfib.series import Series
 
 
 class TestGridsPass:
@@ -244,6 +245,42 @@ class TestSharedRowCode:
         report = verify_cor4(8, 2)
         assert report.counterexample["params"] == {"n": 5, "r": 1}
         assert report.cells == 5 * 2 + 1
+
+
+class TestWorkDoneOnce:
+    """Each verifier does its arithmetic once: value rows are read once
+    per grid, and thm6 builds no dense power of (1 - t - t^2)^-1."""
+
+    def test_thm3_reads_each_value_row_once(self, monkeypatch):
+        # The default grid reads p_n(s) for n <= 40 at three kinds of
+        # argument s: weights at r = 1..6, left sides at x = -2..8, right
+        # sides at x - r = -8..7.  Their union is -8..8, 17 distinct
+        # arguments, so one read per (n, s) is 17 * 41 = 697 calls.
+        calls = []
+
+        def counted(n, r):
+            calls.append((n, r))
+            return conv_fib(n, r)
+
+        monkeypatch.setattr(identities, "conv_fib", counted)
+        assert verify_thm3().passed
+        assert len(calls) <= 17 * 41
+
+    def test_thm6_inverts_once_and_takes_no_power(self, monkeypatch):
+        inverse = Series.inverse
+        inverted = []
+
+        def counted(self):
+            inverted.append(self)
+            return inverse(self)
+
+        def refuse(self, exponent):
+            raise AssertionError("thm6 took a series power")
+
+        monkeypatch.setattr(Series, "inverse", counted)
+        monkeypatch.setattr(Series, "__pow__", refuse)
+        assert verify_thm6(7, 16).passed
+        assert len(inverted) == 1  # (1+2t)^-1, for an altered odd-row diagonal
 
 
 class TestTrivialReductions:

@@ -30,17 +30,23 @@ def list_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]
     return out
 
 
+def long_division(dividend: list, divisor: list) -> list:
+    """Quotient digits of dividend / divisor through the dividend's length,
+    by literal long division over Q or Q[x]; divisor[0] is a nonzero constant."""
+    lead = divisor[0].constant_value() if isinstance(divisor[0], Poly) else divisor[0]
+    remainder = list(dividend)
+    quotient = []
+    for k in range(len(remainder)):
+        digit = remainder[k] / lead
+        quotient.append(digit)
+        for j, d in enumerate(divisor[: len(remainder) - k]):
+            remainder[k + j] = remainder[k + j] - digit * d
+    return quotient
+
+
 def long_division_inverse(divisor: list[Fraction], order: int) -> list[Fraction]:
     """Quotient digits of 1 / divisor by literal long division."""
-    remainder = [Fraction(1)] + [Fraction(0)] * order
-    quotient = []
-    for k in range(order + 1):
-        digit = remainder[k] / divisor[0]
-        quotient.append(digit)
-        for j, d in enumerate(divisor):
-            if k + j <= order:
-                remainder[k + j] -= digit * d
-    return quotient
+    return long_division([Fraction(1)] + [Fraction(0)] * order, divisor)
 
 
 def rand_series(rng: random.Random, order: int, constant: int | None = None) -> Series:
@@ -417,6 +423,82 @@ class TestPolyRingAgainstTermByTerm:
         ):
             assert list(got.coefficients) == want
             assert [hash(c) for c in got.coefficients] == [hash(c) for c in want]
+
+
+@st.composite
+def sparse_series(draw, ring: str) -> Series:
+    """A series over ``ring`` of order 0 .. 7 whose coefficients are often zero."""
+    zero = Fraction(0) if ring == "Q" else Poly.zero()
+    element = st.one_of(st.just(zero), st.just(zero), RING_ELEMENTS[ring])
+    return Series(draw(st.lists(element, min_size=1, max_size=8)))
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q[x]"])
+class TestDivision:
+    """a / b is the q with q * b == a through the lower order."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_quotient_times_divisor_is_dividend(self, ring, data):
+        a = data.draw(series(ring))
+        b = data.draw(series(ring, constant=RATIONALS.filter(bool)))
+        assert (a / b) * b == a
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_long_division(self, ring, data):
+        a = data.draw(sparse_series(ring))
+        b = data.draw(series(ring, constant=RATIONALS.filter(bool)))
+        quotient = a / b
+        order = quotient.order
+        assert order == min(a.order, b.order)
+        assert list(quotient.coefficients) == long_division(
+            list(a.truncate(order).coefficients), list(b.truncate(order).coefficients)
+        )
+
+    def test_lower_order_wins_and_zero_constant_is_refused(self, ring):
+        a = Series.from_polynomial((1, 2, 3), 6)
+        b = Series.from_polynomial((1, -1, -1), 3)
+        if ring == "Q[x]":
+            a, b = a.lift(), b.lift()
+        assert (a / b).order == (b / a).order == 3
+        with pytest.raises(NonInvertibleConstantTerm):
+            a / Series.from_polynomial((0, 1), 6)
+
+    def test_mixed_rings_divide_over_q_x(self, ring):
+        """Whichever ring ``ring`` names, the dividend is over it and the divisor over the other."""
+        rational = Series.from_polynomial((2, 1, -1), 5)
+        poly = Series([Poly((-3,)), Poly.x(), 3, 0, Poly((0, 0, 1)), 1])
+        a, b = (rational, poly) if ring == "Q" else (poly, rational)
+        got = a / b
+        assert got.is_poly_ring()
+        assert got.coefficients == (a.lift() / b.lift()).coefficients
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q[x]"])
+class TestSquare:
+    """A series times itself takes the symmetric path; the general product
+    of two distinct but equal series is its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_square_equals_the_general_product(self, ring, data):
+        a = data.draw(sparse_series(ring))
+        twin = Series(a.coefficients)
+        assert twin is not a
+        assert list((a * a).coefficients) == list((a * twin).coefficients)
+
+    def test_orders_zero_and_one(self, ring):
+        for coeffs in ([3], [0], [2, -5], [0, 4]):
+            a = Series(coeffs if ring == "Q" else [Poly((c, 1)) for c in coeffs])
+            assert (a * a).coefficients == (a * Series(a.coefficients)).coefficients
+
+    def test_powers_square_through_the_product(self, ring):
+        a = Series.from_polynomial((1, 1, 0, -2), 9)
+        if ring == "Q[x]":
+            a = a * Poly((1, 1))
+        twin = Series(a.coefficients)  # each product below is a general one
+        assert a**5 == twin * a * a * a * a
 
 
 class TestConstruction:
