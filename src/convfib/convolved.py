@@ -131,27 +131,30 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
     return factorial(n) * (fibs[n] if r == 1 else fold(n, r - 1))
 
 
-def _falling_step(row: list[int], n: int) -> int:
-    """p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l from ``row`` = [p_0(j), ..., p_n(j), ...]."""
+def _falling_step(row: list[int], fibs: list[int], n: int) -> int:
+    """p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l from ``row`` = [p_0(j), ..., p_n(j), ...]
+    and ``fibs`` = [F_0, ..., F_n, ...]."""
     acc, falling = 0, 1  # falling = (n)_l, one factor more per term
     for l in range(n + 1):
         if l:
             falling *= n - l + 1
-        acc += falling * row[n - l] * fib(l)
+        acc += falling * row[n - l] * fibs[l]
     return acc
 
 
 def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
     """[p_0(r), ..., p_{n_max}(r)] for r >= 1 by iterating the step
     p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l up from the row p_n(1) = n! F_n.
+    F_0 .. F_{n_max} are read from :func:`fib` once.
     """
     if r < 1:
         raise UsageError("the recurrence form needs r >= 1")
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    row = [factorial(n) * fib(n) for n in range(n_max + 1)]
+    fibs = [fib(n) for n in range(n_max + 1)]
+    row = [factorial(n) * f for n, f in enumerate(fibs)]
     for _ in range(r - 1):
-        row = [_falling_step(row, n) for n in range(n_max + 1)]
+        row = [_falling_step(row, fibs, n) for n in range(n_max + 1)]
     return row
 
 

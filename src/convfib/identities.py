@@ -6,14 +6,14 @@ that the statements give as nested sums are evaluated by literal recursive
 loops mirroring the summation structure, never by a shortcut, so each
 check really pits two different algorithms against each other.  Factors
 that do not change inside a sum (F_l, C(n,l) p_l(r), (N-2i)_l) are read
-once per row or grid, and so is each row p_0(r), ..., p_n(r) of values,
-but every term is still formed and added.  Each
-verifier is a generator of cells in lexicographic parameter order, and
-:func:`convfib.report.verifier` turns it into a function that reports the
-first failing cell as the counterexample.  A verifier's signature is the
-one statement of its default grid, and of its report's grid;
-:func:`run_identity` runs a verifier by name and applies overrides on top
-of those defaults.
+once per row or grid, but every term is still formed and added.  A
+verifier reads p_n(r) only through a :class:`_Rows` of its grid, which
+reads each row p_0(r), ..., p_n(r) once.  Each verifier is a generator of
+cells in lexicographic parameter order, and :func:`convfib.report.verifier`
+turns it into a function that reports the first failing cell as the
+counterexample.  A verifier's signature is the one statement of its
+default grid, and of its report's grid; :func:`run_identity` runs a
+verifier by name and applies overrides on top of those defaults.
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ class _Rows(dict):
         return row
 
 
-def _binomial_weights(n: int, r: int) -> list[int]:
-    """[C(n,l) p_l(r) for l = 0 .. n], the factors that a row of cells shares."""
-    return [comb(n, l) * conv_fib(l, r) for l in range(n + 1)]
+def _binomial_weights(row: list[int], n: int) -> list[int]:
+    """[C(n,l) p_l(r) for l = 0 .. n] from ``row`` = [p_0(r), ...], the
+    factors that a row of cells shares."""
+    return [comb(n, l) * p for l, p in enumerate(row[: n + 1])]
 
 
 def _binomial_cells(
@@ -73,7 +74,7 @@ def _binomial_cells(
     rows = _Rows(n_max)
     for n in range(n_max + 1):
         for r in r_values:
-            weights = [comb(n, l) * p for l, p in enumerate(rows[r][: n + 1])]
+            weights = _binomial_weights(rows[r], n)
             for x in x_values:
                 yield n, r, x, rows[x][n], sum(map(mul, weights, rows[x - r][n::-1]))
 
@@ -85,22 +86,24 @@ def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> Ver
         yield {"n": n, "x": x}, lhs, rhs
 
 
-def _cor2_nested(n: int, levels: int, weights: list[list[int]]) -> int:
-    """The literal nested binomial sum with ``levels`` bound indices, where
-    ``weights[m]`` is :func:`_binomial_weights` ``(m, 1)`` for every m <= n."""
+def _cor2_nested(n: int, levels: int, row: list[int], weights: list[list[int]]) -> int:
+    """The literal nested binomial sum with ``levels`` bound indices over
+    ``row`` = [p_0(1), ..., p_n(1), ...], where ``weights[m]`` is
+    :func:`_binomial_weights` ``(row, m)`` for every m <= n."""
     if levels == 0:
-        return conv_fib(n, 1)
-    return sum(w * _cor2_nested(n - l, levels - 1, weights) for l, w in enumerate(weights[n]))
+        return row[n]
+    return sum(w * _cor2_nested(n - l, levels - 1, row, weights) for l, w in enumerate(weights[n]))
 
 
 @verifier("cor2")
 def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
     """p_n(r) equals the (r-1)-fold nested binomial sum over p(1) values."""
+    rows = _Rows(n_max)
     # only sums with a bound index read weights, and r = 1 has none
-    weights = [_binomial_weights(m, 1) for m in range(n_max + 1)] if r_max > 1 else []
+    weights = [_binomial_weights(rows[1], m) for m in range(n_max + 1)] if r_max > 1 else []
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            yield {"n": n, "r": r}, conv_fib(n, r), _cor2_nested(n, r - 1, weights)
+            yield {"n": n, "r": r}, rows[r][n], _cor2_nested(n, r - 1, rows[1], weights)
 
 
 @verifier("thm3")
@@ -120,18 +123,19 @@ def verify_thm3(
 @verifier("cor4")
 def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
     """p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l, the step the falling-factorial row iterates."""
-    rows = _Rows(n_max)
+    rows, fibs = _Rows(n_max), [fib(l) for l in range(n_max + 1)]
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            yield {"n": n, "r": r}, rows[r + 1][n], _falling_step(rows[r], n)
+            yield {"n": n, "r": r}, rows[r + 1][n], _falling_step(rows[r], fibs, n)
 
 
 @verifier("thm5")
 def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
     """p_n(r+1)/n! equals the r-fold nested Fibonacci convolution sum."""
+    rows = _Rows(n_max)
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            yield {"n": n, "r": r}, conv_fib(n, r + 1), conv_fib_by_nested_sum(n, r + 1)
+            yield {"n": n, "r": r}, rows[r + 1][n], conv_fib_by_nested_sum(n, r + 1)
 
 
 @verifier("thm6")
@@ -242,12 +246,13 @@ def verify_cor8(
     the one :func:`~convfib.convolved.conv_fib_poly` rolls for itself.
     """
     genfun = conv_fib_poly_genfun(n_max)  # one expansion serves every N
+    rows = _Rows(n_max)
     for n in range(n_max + 1):
         poly = conv_fib_poly(n, triangle)
         oracle = conv_fib_poly_oracle(n, n_max, genfun)
         yield {"N": n, "check": "polynomial"}, poly.monomial, oracle
         for x in x_values:
-            yield {"N": n, "x": x}, poly.evaluate(x), conv_fib(n, x)
+            yield {"N": n, "x": x}, poly.evaluate(x), rows[x][n]
 
 
 @verifier("cor9")
@@ -260,6 +265,7 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
     """
     if triangle is None:
         triangle = CoeffTriangle.from_closed_form(n_max)
+    rows = _Rows(n_max)
     for n in range(n_max + 1):
         row = triangle.row(n)
         yield (
@@ -269,7 +275,7 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
         )
         yield (
             {"N": n, "check": "value-at-one"},
-            conv_fib(n, 1),
+            rows[1][n],
             sum(a * factorial(n - i) for i, a in enumerate(row)),
         )
 
@@ -278,10 +284,11 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
 def verify_holo(n_max: int = 40, r_max: int = 9) -> VerificationReport:
     """p_n(r) from the cached three-term recurrence against n! [t^n] of the
     series power (1 - t - t^2)**(-r), one power per r in [-r_max, r_max]."""
+    rows = _Rows(n_max)
     for r in range(-r_max, r_max + 1):
         row = conv_fib_row(r, n_max)
         for n in range(n_max + 1):
-            yield {"r": r, "n": n}, conv_fib(n, r), row[n]
+            yield {"r": r, "n": n}, rows[r][n], row[n]
 
 
 # -- uniform runner -----------------------------------------------------------

@@ -245,6 +245,8 @@ class Series:
         num = a._coeffs
         b0_inv = self._invert_coeff(other._coeffs[0])
         support = [(k, c) for k, c in enumerate(other._coeffs[: a.order + 1]) if k and c]
+        if b0_inv == 1:  # as in every division the package makes: nothing to scale
+            return a._recur(num[0], support, lambda n, acc: num[n] - acc)
         return a._recur(num[0] * b0_inv, support, lambda n, acc: (num[n] - acc) * b0_inv)
 
     def inverse(self) -> Series:

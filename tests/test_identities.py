@@ -236,8 +236,8 @@ class TestSharedRowCode:
         assert identities._falling_step is convolved._falling_step
         step = convolved._falling_step
 
-        def wrong_at_5(row, n):
-            return step(row, n) + (n == 5)
+        def wrong_at_5(row, fibs, n):
+            return step(row, fibs, n) + (n == 5)
 
         for module in (convolved, identities):
             monkeypatch.setattr(module, "_falling_step", wrong_at_5)
@@ -249,22 +249,58 @@ class TestSharedRowCode:
 
 class TestWorkDoneOnce:
     """Each verifier does its arithmetic once: value rows are read once
-    per grid, and thm6 builds no dense power of (1 - t - t^2)^-1."""
+    per grid, F_l once per grid, and thm6 builds no dense power of
+    (1 - t - t^2)^-1."""
 
-    def test_thm3_reads_each_value_row_once(self, monkeypatch):
-        # The default grid reads p_n(s) for n <= 40 at three kinds of
-        # argument s: weights at r = 1..6, left sides at x = -2..8, right
-        # sides at x - r = -8..7.  Their union is -8..8, 17 distinct
-        # arguments, so one read per (n, s) is 17 * 41 = 697 calls.
+    @staticmethod
+    def count_calls(monkeypatch, name, verify, modules=(identities,)):
+        """The calls that ``verify()``, on its default grid, makes to the
+        global ``name`` of each of ``modules``; the verifier must pass."""
         calls = []
+        for module in modules:
+            function = getattr(module, name)
 
-        def counted(n, r):
-            calls.append((n, r))
-            return conv_fib(n, r)
+            def counted(*args, _function=function):
+                calls.append(args)
+                return _function(*args)
 
-        monkeypatch.setattr(identities, "conv_fib", counted)
-        assert verify_thm3().passed
-        assert len(calls) <= 17 * 41
+            monkeypatch.setattr(module, name, counted)
+        assert verify().passed
+        return len(calls)
+
+    # On its default grid a verifier reads p_0(s), ..., p_n(s) once for each
+    # distinct argument s, up to the largest n it needs there: at most
+    # (number of arguments) * (n + 1) calls.
+    @pytest.mark.parametrize("name,bound", [
+        # n <= 50 at x = -3..8, x - 1 = -4..7 and the weights' 1: -4..8
+        ("prop1", 13 * 51),
+        # n <= 20: left sides at r = 1..4; weights and leaves at r = 1
+        ("cor2", 4 * 21),
+        # n <= 40: weights at r = 1..6, left sides at x = -2..8, right
+        # sides at x - r = -8..7; their union is -8..8
+        ("thm3", 17 * 41),
+        # n <= 60: left sides at r + 1 = 2..7, right sides at r = 1..6
+        ("cor4", 7 * 61),
+        # n <= 25: left sides at r + 1 = 2..5
+        ("thm5", 4 * 26),
+        # left sides at x = 1..5 through k + N = 28; right sides at
+        # x + N - i = 1..13 through k = 20
+        ("thm7", 5 * 29 + 13 * 21),
+        # N <= 40 at x = -5..10
+        ("cor8", 16 * 41),
+        # N <= 50 at x = 1
+        ("cor9", 51),
+        # n <= 40 at r = -9..9
+        ("holo", 19 * 41),
+    ])
+    def test_each_value_row_is_read_once(self, monkeypatch, name, bound):
+        verify = getattr(identities, f"verify_{name}")
+        assert self.count_calls(monkeypatch, "conv_fib", verify) <= bound
+
+    def test_cor4_reads_each_fibonacci_number_once(self, monkeypatch):
+        # F_0 .. F_60, one list for the whole grid, however many steps read it
+        calls = self.count_calls(monkeypatch, "fib", verify_cor4, (convolved, identities))
+        assert calls <= 61
 
     def test_thm6_inverts_once_and_takes_no_power(self, monkeypatch):
         inverse = Series.inverse
@@ -378,8 +414,9 @@ class TestCrossConsistency:
                         return fib(m)
                     return sum(fib(l) * fold(m - l, depth - 1) for l in range(m + 1))
 
-                weights = [_binomial_weights(m, 1) for m in range(n + 1)]
-                assert factorial(n) * fold(n, r) == _cor2_nested(n, r, weights)
+                ones = [conv_fib(m, 1) for m in range(n + 1)]
+                weights = [_binomial_weights(ones, m) for m in range(n + 1)]
+                assert factorial(n) * fold(n, r) == _cor2_nested(n, r, ones, weights)
 
 
 class TestReports:

@@ -116,6 +116,23 @@ class TestInverse:
         with pytest.raises(NonInvertibleConstantTerm):
             Series.from_polynomial((0, 1), 4).inverse()
 
+    def test_divisor_with_constant_term_one_scales_nothing(self, monkeypatch):
+        """Over Q[x], a / b scales each of the 6 quotient coefficients by
+        1/b_0 when b_0 = 2, and none when b_0 = 1; both quotients are the
+        long-division ones."""
+        dividend = Series([Poly((k, 1)) for k in range(6)])  # x + k at t^k
+        scaled, mul = [], Poly.__mul__
+        for lead in (1, 2):
+            divisor = Series.from_polynomial((lead, -1, -1), 5).lift()
+            expected = long_division(list(dividend.coefficients), list(divisor.coefficients))
+            calls = []
+            monkeypatch.setattr(Poly, "__mul__", lambda p, q: calls.append(q) or mul(p, q))
+            quotient = dividend / divisor
+            monkeypatch.setattr(Poly, "__mul__", mul)
+            assert list(quotient.coefficients) == expected
+            scaled.append(len(calls))
+        assert scaled == [0, 6]
+
 
 class TestPow:
     def test_square_of_fibonacci_series_by_convolution_oracle(self):
