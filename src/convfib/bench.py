@@ -23,7 +23,7 @@ from convfib.convolved import (
     conv_fib_row_holonomic,
 )
 from convfib.fibonacci import fib
-from convfib.report import CrossCheckFailure, UsageError
+from convfib.report import CrossCheckFailure, at_least
 
 # Each value runner computes p_n(depth + 1) from scratch; none reads the
 # conv_fib cache.  Runners name module globals, looked up at call time.
@@ -75,8 +75,7 @@ def run_bench(
     sums.  ``triangle_max`` of None skips the triangle comparison.
     Raises :class:`CrossCheckFailure` on any disagreement.
     """
-    if depth < 1:
-        raise UsageError("depth must be >= 1")
+    at_least("depth", depth, 1)
     if sizes:
         fib(max(sizes))  # warm the Fibonacci table so timings exclude it
     for n in sizes:

@@ -86,11 +86,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         text = _table(("n", "r", "p"), rows, fmt)
     elif args.mode == "triangle":
         triangle = CoeffTriangle.from_recurrence(args.n_max)
-        rows = [
-            (n, i, a)
-            for n in range(triangle.n_max + 1)
-            for i, a in enumerate(triangle.row(n))
-        ]
+        rows = [(n, i, a) for n, row in enumerate(triangle.rows) for i, a in enumerate(row)]
         text = _table(("N", "i", "a"), rows, fmt)
     else:  # poly
         if args.n is None:

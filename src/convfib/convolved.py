@@ -41,7 +41,7 @@ from typing import Iterator
 
 from convfib.fibonacci import base_series, fib
 from convfib.poly import Poly
-from convfib.report import UsageError
+from convfib.report import UsageError, at_least
 from convfib.series import Series
 
 
@@ -68,8 +68,7 @@ def conv_fib_row(r: int, n_max: int) -> list[int]:
     For r <= 0 the power (1 - t - t^2)**(-r) is a finite polynomial and
     the high coefficients are zero.
     """
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
+    at_least("n_max", n_max, 0)
     power = base_series(n_max) ** (-r)
     return [_exact_int(c * factorial(n)) for n, c in enumerate(power.coefficients)]
 
@@ -83,8 +82,7 @@ def _extend_holonomic(row: list[int], r: int, n: int) -> None:
 
 def conv_fib_row_holonomic(r: int, n_max: int) -> list[int]:
     """[p_0(r), ..., p_{n_max}(r)] built afresh by the three-term recurrence."""
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
+    at_least("n_max", n_max, 0)
     row = [1, r]
     _extend_holonomic(row, r, n_max)
     return row[: n_max + 1]
@@ -101,8 +99,7 @@ def conv_fib(n: int, r: int) -> int:
     the three-term recurrence, exactly as far as asked.  Rows only grow, so
     a reader that finds index n present reads a finished value.
     """
-    if n < 0:
-        raise UsageError("n must be >= 0")
+    at_least("n", n, 0)
     row = _rows.get(r)
     if row is None or len(row) <= n:
         with _rows_lock:
@@ -121,6 +118,7 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
     """
     if r < 1:
         raise UsageError("the nested-sum form needs r >= 1")
+    at_least("n", n, 0)
     fibs = [fib(l) for l in range(n + 1)]
 
     def fold(m: int, depth: int) -> int:
@@ -149,8 +147,7 @@ def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
     """
     if r < 1:
         raise UsageError("the recurrence form needs r >= 1")
-    if n_max < 0:
-        raise UsageError("n_max must be >= 0")
+    at_least("n_max", n_max, 0)
     fibs = [fib(n) for n in range(n_max + 1)]
     row = [factorial(n) * f for n, f in enumerate(fibs)]
     for _ in range(r - 1):
@@ -164,8 +161,7 @@ def factorial_powers(n: int, l: int) -> tuple[int, int]:
     """((n)_l, <n>_l): the falling product n(n-1)...(n-l+1) and the rising
     product n(n+1)...(n+l-1); both are 1 when l = 0.
     """
-    if l < 0:
-        raise UsageError("l must be >= 0")
+    at_least("l", l, 0)
     falling = 1
     rising = 1
     for j in range(l):
@@ -179,8 +175,7 @@ def rising_factorial_poly(k: int) -> Poly:
 
     The plain product of the k factors (x + j), built afresh on each call.
     """
-    if k < 0:
-        raise UsageError("k must be >= 0")
+    at_least("k", k, 0)
     out = Poly.one()
     for j in range(k):
         out = out * Poly((j, 1))
@@ -216,8 +211,7 @@ def _closed_entry(n: int, i: int, memo: dict[tuple[int, int], int]) -> int:
 
 def triangle_closed(n: int, i: int) -> int:
     """a_i(N) from the closed nested-sum form, independent of the recurrence."""
-    if n < 0:
-        raise UsageError("row index must be >= 0")
+    at_least("row index", n, 0)
     if not 0 <= i < _width(n):
         raise IndexOutOfTriangle(f"a_{i}({n}) lies outside the triangle")
     return _closed_entry(n, i, {})
@@ -256,15 +250,13 @@ class CoeffTriangle:
     @classmethod
     def from_recurrence(cls, n_max: int) -> CoeffTriangle:
         """Seed a_0(0) = 1 and apply the row step :func:`_next_row`."""
-        if n_max < 0:
-            raise UsageError("n_max must be >= 0")
+        at_least("n_max", n_max, 0)
         return cls(tuple(_recurrence_rows(n_max)))
 
     @classmethod
     def from_closed_form(cls, n_max: int) -> CoeffTriangle:
         """Every entry from the nested-sum closed form, sharing subsums."""
-        if n_max < 0:
-            raise UsageError("n_max must be >= 0")
+        at_least("n_max", n_max, 0)
         memo: dict[tuple[int, int], int] = {}
         return cls(tuple(
             tuple(_closed_entry(n, i, memo) for i in range(_width(n)))
@@ -343,8 +335,7 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
 
     Without a triangle, row N comes from the row step alone, two rows at a time.
     """
-    if n < 0:
-        raise UsageError("n must be >= 0")
+    at_least("n", n, 0)
     rising = deque(_recurrence_rows(n), maxlen=1)[0] if triangle is None else triangle.row(n)
     monomial = Poly.constant(rising[0])
     for m in range(n - 1, -1, -1):
@@ -367,8 +358,7 @@ def conv_fib_poly_oracle(n: int, order: int, genfun: Series | None = None) -> Po
     A caller that reads many N passes ``genfun``, the expansion at this
     order built once, in place of a fresh expansion per call.
     """
-    if n < 0:
-        raise UsageError("n must be >= 0")
+    at_least("n", n, 0)
     if order < n:
         raise TruncationTooShort(f"need order >= {n}, got {order}")
     if genfun is None:

@@ -13,6 +13,12 @@ class UsageError(ValueError):
     a truncation order too short for the request, an unwritable path."""
 
 
+def at_least(name: str, value: int, low: int) -> None:
+    """Refuse ``value`` below ``low`` with ``UsageError("<name> must be >= <low>")``."""
+    if value < low:
+        raise UsageError(f"{name} must be >= {low}")
+
+
 class CrossCheckFailure(RuntimeError):
     """Two benchmarked algorithms disagreed on a cell; timings were not produced."""
 

@@ -32,7 +32,7 @@ from operator import add
 from typing import Callable, Iterable, Sequence, Union
 
 from convfib.poly import Poly, sum_of_products
-from convfib.report import UsageError
+from convfib.report import UsageError, at_least
 
 Coeff = Union[Fraction, Poly]
 CoeffLike = Union[int, Fraction, Poly]
@@ -91,8 +91,7 @@ class Series:
         Pads with zeros; coefficients beyond the order are dropped (the
         series simply does not know them).
         """
-        if order < 0:
-            raise UsageError("order must be >= 0")
+        at_least("order", order, 0)
         coeffs = list(coefficients[: order + 1])
         coeffs.extend([0] * (order + 1 - len(coeffs)))
         return cls(coeffs)
@@ -140,8 +139,7 @@ class Series:
 
     def truncate(self, order: int) -> Series:
         """Forget everything beyond t**order."""
-        if order < 0:
-            raise UsageError("order must be >= 0")
+        at_least("order", order, 0)
         if order > self.order:
             raise UsageError(f"cannot extend order {self.order} series to {order}")
         return Series(self._coeffs[: order + 1])

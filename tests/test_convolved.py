@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib import cli, convolved
+from convfib import bench, cli, convolved
 from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
@@ -35,6 +35,8 @@ from convfib.convolved import (
 )
 from convfib.fibonacci import fib
 from convfib.poly import Poly
+from convfib.report import UsageError
+from convfib.series import Series
 
 
 class TestIntegerValues:
@@ -115,6 +117,38 @@ class TestThreeAlgorithms:
     def test_recurrence_needs_positive_argument(self):
         with pytest.raises(ValueError):
             conv_fib_row_by_recurrence(0, 3)
+
+
+# Every library entry refuses a bound below its least value with one
+# UsageError, "<name> must be >= <least>"; run_bench refuses a negative
+# size through the nested sum, before math.factorial sees it.
+NEGATIVE_BOUNDS = [
+    pytest.param(conv_fib_row, (1, -1), "n_max must be >= 0", id="conv_fib_row"),
+    pytest.param(conv_fib_row_holonomic, (1, -1), "n_max must be >= 0", id="conv_fib_row_holonomic"),
+    pytest.param(
+        conv_fib_row_by_recurrence, (1, -1), "n_max must be >= 0", id="conv_fib_row_by_recurrence"
+    ),
+    pytest.param(CoeffTriangle.from_recurrence, (-1,), "n_max must be >= 0", id="from_recurrence"),
+    pytest.param(CoeffTriangle.from_closed_form, (-1,), "n_max must be >= 0", id="from_closed_form"),
+    pytest.param(conv_fib, (-1, 1), "n must be >= 0", id="conv_fib"),
+    pytest.param(conv_fib_poly, (-1,), "n must be >= 0", id="conv_fib_poly"),
+    pytest.param(conv_fib_poly_oracle, (-1, 4), "n must be >= 0", id="conv_fib_poly_oracle"),
+    pytest.param(conv_fib_by_nested_sum, (-1, 2), "n must be >= 0", id="conv_fib_by_nested_sum"),
+    pytest.param(factorial_powers, (3, -1), "l must be >= 0", id="factorial_powers"),
+    pytest.param(rising_factorial_poly, (-1,), "k must be >= 0", id="rising_factorial_poly"),
+    pytest.param(triangle_closed, (-1, 0), "row index must be >= 0", id="triangle_closed"),
+    pytest.param(Series.from_polynomial, ((1,), -1), "order must be >= 0", id="from_polynomial"),
+    pytest.param(Series.one(3).truncate, (-1,), "order must be >= 0", id="truncate"),
+    pytest.param(bench.run_bench, ([2], 0), "depth must be >= 1", id="run_bench-depth"),
+    pytest.param(bench.run_bench, ([-1],), "n must be >= 0", id="run_bench-sizes"),
+]
+
+
+@pytest.mark.parametrize("entry, args, message", NEGATIVE_BOUNDS)
+def test_negative_bound_is_usage_error(entry, args, message):
+    with pytest.raises(UsageError) as caught:
+        entry(*args)
+    assert str(caught.value) == message
 
 
 N_TOP = 200
