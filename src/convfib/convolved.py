@@ -334,15 +334,17 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
     rule c_0 + x(c_1 + (x+1)(c_2 + ... + (x+N-1) c_N)), c_{N-i} = a_i(N), else 0.
 
     Without a triangle, row N comes from the row step alone, two rows at a time.
+    Every Horner step runs on a plain list of integer coefficients, and one
+    Poly is built at the end.
     """
     at_least("n", n, 0)
     rising = deque(_recurrence_rows(n), maxlen=1)[0] if triangle is None else triangle.row(n)
-    monomial = Poly.constant(rising[0])
+    coeffs = [rising[0]]  # lowest power of x first
     for m in range(n - 1, -1, -1):
-        monomial = Poly((m, 1)) * monomial
+        coeffs = [m * c + lower for c, lower in zip([*coeffs, 0], [0, *coeffs])]  # (x+m) c
         if n - m < len(rising):
-            monomial = monomial + rising[n - m]
-    return RisingFactorialPoly(n, rising, monomial)
+            coeffs[0] += rising[n - m]
+    return RisingFactorialPoly(n, rising, Poly(coeffs))
 
 
 def conv_fib_poly_genfun(order: int) -> Series:

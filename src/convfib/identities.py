@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import inspect
 from math import comb, factorial
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Optional
 
 from convfib.convolved import (
@@ -37,6 +37,7 @@ from convfib.convolved import (
     rising_factorial_poly,
 )
 from convfib.fibonacci import base_series, fib, fib_genfun_check
+from convfib.poly import Poly, _product
 from convfib.report import UsageError, VerificationReport, verifier
 from convfib.series import Series
 
@@ -154,9 +155,10 @@ def verify_thm6(
     sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^i times
     G = F / (1-t-t^2)^N, and each G is the one before divided once by
     1 - t - t^2.  Each <x>_k is built once per check, and so are the powers
-    of (1+2t) and of 1 - t - t^2, each from the one before; their
-    coefficients are integers, so they are kept over Q[x], where products
-    run on integers.
+    of (1+2t) and of 1 - t - t^2, each from the one before.  Those powers
+    have integer coefficients, so they are plain integer lists, and each
+    t^j coefficient of the bracket is one integer combination of the <x>_k.
+    The one product over Q[x] per N is the bracket times G.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
@@ -164,30 +166,35 @@ def verify_thm6(
         triangle = CoeffTriangle.from_recurrence(n_max)
 
     gen = conv_fib_poly_genfun(order)
-    rising = [rising_factorial_poly(k) for k in range(n_max + 1)]
-    one = Series.one(order).lift()
     base = base_series(order).lift()
-    base_pows = [one]  # exponents 0 .. floor((n_max+1)/2), the largest i in a row
+    rising = [[int(c) for c in rising_factorial_poly(k).coefficients] for k in range(n_max + 1)]
+    # integer coefficient lists in t, lowest power first: (1 - t - t^2)^i for
+    # i = 0 .. floor((n_max+1)/2), the largest i in a row
+    base_pows = [[1]]
     for _ in range((n_max + 1) // 2):
-        base_pows.append(base_pows[-1] * base)
-    # exponents -1 .. n_max; -1 occurs at i = (N+1)/2 for odd N, where the
-    # triangle holds a zero unless it was altered
-    two_t = Series.from_polynomial((1, 2), order).lift()
-    two_t_pows = {-1: two_t.inverse(), 0: one}
+        base_pows.append(_product(base_pows[-1], (1, -1, -1)))
+    # and (1+2t)^e for e = -1 .. n_max; -1 occurs at i = (N+1)/2 for odd N,
+    # where the triangle holds a zero unless it was altered, and (1+2t)^-1
+    # has the integer coefficients (-2)^k
+    two_t = Series.from_polynomial((1, 2), order)
+    two_t_pows = {-1: [int(c) for c in two_t.inverse().coefficients], 0: [1]}
     for e in range(1, n_max + 1):
-        two_t_pows[e] = two_t_pows[e - 1] * two_t
+        two_t_pows[e] = _product(two_t_pows[e - 1], (1, 2))
 
     lhs = quotient = gen
     for n in range(n_max + 1):
         if n:
             lhs = lhs.derivative()
             quotient = quotient / base
-        bracket = Series.zero(order).lift()
+        m = order - n
+        bracket = [[0] * (n + 1) for _ in range(m + 1)]  # t^j -> coefficients in x
         for i, a in enumerate(triangle.row(n)):
             if a:
-                bracket = bracket + two_t_pows[n - 2 * i] * base_pows[i] * (a * rising[n - i])
-        m = order - n
-        rhs = bracket.truncate(m) * quotient.truncate(m)
+                t_coeffs = _product(two_t_pows[n - 2 * i], base_pows[i])[: m + 1]
+                for row, c in zip(bracket, t_coeffs):
+                    if c:
+                        row[: n - i + 1] = map(add, row, [a * c * r for r in rising[n - i]])
+        rhs = Series([Poly(row) for row in bracket]) * quotient.truncate(m)
         # one cell per N; a mismatch is reported at its lowest power of t
         k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
         yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)

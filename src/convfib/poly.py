@@ -81,7 +81,7 @@ def _add_product(out: list[int], a: Sequence[int], b: Sequence[int]) -> None:
                 out[j] += ca * cb
 
 
-def _product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Schoolbook product of two integer coefficient sequences."""
     if not a or not b:
         return []

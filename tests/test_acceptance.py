@@ -149,9 +149,14 @@ def test_criterion_7_mutation_sensitivity():
 
 
 def test_criterion_8_bench_gate_and_asymptotics():
-    """Cross-checked benchmark; nested-sum scales worse than series power."""
+    """Cross-checked benchmark; nested-sum scales worse than series power.
+
+    Each cell is the best of three windows of at least 0.1 s, so that a
+    busy neighbour on the machine cannot fake the ratio of two short
+    windows.
+    """
     start = time.perf_counter()
-    rows = run_bench([10, 20], depth=4, triangle_max=40)
+    rows = run_bench([10, 20], depth=4, triangle_max=40, min_seconds=0.1, repeats=3)
     seconds = {(r.algorithm, r.params): r.seconds for r in rows}
     nested_ratio = seconds[("nested-sum", "n=20;r=4")] / seconds[("nested-sum", "n=10;r=4")]
     series_ratio = seconds[("series-power", "n=20;r=4")] / seconds[("series-power", "n=10;r=4")]

@@ -135,6 +135,7 @@ GOLDEN_TABLES = {
     "table_triangle_n-max_30.csv": "table --mode triangle --n-max 30",
     "table_triangle_n-max_8.json": "table --mode triangle --n-max 8 --format json",
     "table_poly_n_20.json": "table --mode poly --n 20",
+    "table_poly_n_60.json": "table --mode poly --n 60",
     **{
         f"table_values_r_{r}_n-max_60.csv": f"table --mode values --r={r} --n-max 60"
         for r in (-9, 0, 1, 9)

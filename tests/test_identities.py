@@ -14,6 +14,8 @@ from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
     conv_fib,
+    conv_fib_poly,
+    conv_fib_poly_oracle,
     conv_fib_row_by_recurrence,
 )
 from convfib.fibonacci import fib
@@ -33,6 +35,7 @@ from convfib.identities import (
     verify_thm6,
     verify_thm7,
 )
+from convfib.poly import Poly
 from convfib.report import UsageError
 from convfib.series import Series
 
@@ -250,7 +253,9 @@ class TestSharedRowCode:
 class TestWorkDoneOnce:
     """Each verifier does its arithmetic once: value rows are read once
     per grid, F_l once per grid, and thm6 builds no dense power of
-    (1 - t - t^2)^-1."""
+    (1 - t - t^2)^-1.  Integer work stays on plain integers: thm6 makes one
+    product of two series over Q[x] per N, and p_N(x)'s Horner expansion
+    multiplies no Poly."""
 
     @staticmethod
     def count_calls(monkeypatch, name, verify, modules=(identities,)):
@@ -317,6 +322,33 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(Series, "__pow__", refuse)
         assert verify_thm6(7, 16).passed
         assert len(inverted) == 1  # (1+2t)^-1, for an altered odd-row diagonal
+
+    def test_thm6_multiplies_two_qx_series_once_per_n(self, monkeypatch):
+        multiply = Series.__mul__
+        products = []
+
+        def counted(self, other):
+            if isinstance(other, Series) and self.is_poly_ring() and other.is_poly_ring():
+                products.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", counted)
+        assert verify_thm6(7, 16).passed
+        assert len(products) == 8  # the bracket times F / (1-t-t^2)^N, N = 0..7
+
+    def test_conv_fib_poly_multiplies_no_poly(self, monkeypatch):
+        expected = conv_fib_poly_oracle(40, 40)
+        multiply = Poly.__mul__
+        products = []
+
+        def counted(self, other):
+            products.append(other)
+            return multiply(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(Poly, "__rmul__", counted)
+        assert conv_fib_poly(40).monomial == expected
+        assert products == []
 
 
 class TestTrivialReductions:
