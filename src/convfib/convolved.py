@@ -347,22 +347,36 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
     return RisingFactorialPoly(n, rising, Poly(coeffs))
 
 
+_genfun: Series | None = None  # the largest expansion built so far
+_genfun_lock = threading.Lock()
+
+
 def conv_fib_poly_genfun(order: int) -> Series:
     """F = exp(x * (-log(1 - t - t^2))) = sum_N p_N(x) t^N / N! over Q[x],
-    through t^order, built symbolically with no triangle involved."""
-    return (base_series(order).log() * -Poly.x()).exp()
+    through t^order, built symbolically with no triangle involved.
+
+    The process keeps the expansion at the largest order asked for and
+    answers a smaller order with its truncation, which is exact: each
+    exp/log coefficient depends only on lower ones.  A larger order is
+    built afresh, under a lock, and replaces it.
+    """
+    global _genfun
+    at_least("order", order, 0)
+    gen = _genfun
+    if gen is None or gen.order < order:
+        with _genfun_lock:
+            gen = _genfun
+            if gen is None or gen.order < order:
+                gen = _genfun = (base_series(order).log() * -Poly.x()).exp()
+    return gen.truncate(order)
 
 
-def conv_fib_poly_oracle(n: int, order: int, genfun: Series | None = None) -> Poly:
+def conv_fib_poly_oracle(n: int, order: int) -> Poly:
     """p_N(x) built symbolically, with no triangle involved: n! times the
-    t^n coefficient of :func:`conv_fib_poly_genfun`.  Requires order >= n.
-
-    A caller that reads many N passes ``genfun``, the expansion at this
-    order built once, in place of a fresh expansion per call.
+    t^n coefficient of :func:`conv_fib_poly_genfun` at this order, read
+    from the one expansion it keeps.  Requires order >= n.
     """
     at_least("n", n, 0)
     if order < n:
         raise TruncationTooShort(f"need order >= {n}, got {order}")
-    if genfun is None:
-        genfun = conv_fib_poly_genfun(order)
-    return genfun.coefficient(n) * factorial(n)
+    return conv_fib_poly_genfun(order).coefficient(n) * factorial(n)

@@ -38,7 +38,7 @@ from convfib.convolved import (
 )
 from convfib.fibonacci import base_series, fib, fib_genfun_check
 from convfib.poly import Poly, _product
-from convfib.report import UsageError, VerificationReport, verifier
+from convfib.report import UsageError, VerificationReport, at_least, verifier
 from convfib.series import Series
 
 
@@ -150,15 +150,17 @@ def verify_thm6(
 
         sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^{-(N-i)} * F
 
-    exactly through order - N, for every N <= n_max.  The left side
-    differentiates F once per N.  The right side is the polynomial bracket
-    sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^i times
-    G = F / (1-t-t^2)^N, and each G is the one before divided once by
-    1 - t - t^2.  Each <x>_k is built once per check, and so are the powers
-    of (1+2t) and of 1 - t - t^2, each from the one before.  Those powers
-    have integer coefficients, so they are plain integer lists, and each
-    t^j coefficient of the bracket is one integer combination of the <x>_k.
-    The one product over Q[x] per N is the bracket times G.
+    exactly through order - N, for every N <= n_max.  F is read from the
+    expansion that :func:`~convfib.convolved.conv_fib_poly_genfun` keeps,
+    and the left side differentiates it once per N.  The right side is the
+    polynomial bracket sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^i
+    times G = F / (1-t-t^2)^N, kept through order - N: each G is the one
+    before, cut to that order and divided once by 1 - t - t^2.  Each <x>_k
+    is built once per check, and so are the powers of (1+2t) and of
+    1 - t - t^2, each from the one before.  Those powers have integer
+    coefficients, so they are plain integer lists, and each t^j coefficient
+    of the bracket is one integer combination of the <x>_k.  The one
+    product over Q[x] per N is the bracket times G.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
@@ -183,10 +185,10 @@ def verify_thm6(
 
     lhs = quotient = gen
     for n in range(n_max + 1):
+        m = order - n
         if n:
             lhs = lhs.derivative()
-            quotient = quotient / base
-        m = order - n
+            quotient = quotient.truncate(m) / base
         bracket = [[0] * (n + 1) for _ in range(m + 1)]  # t^j -> coefficients in x
         for i, a in enumerate(triangle.row(n)):
             if a:
@@ -194,7 +196,7 @@ def verify_thm6(
                 for row, c in zip(bracket, t_coeffs):
                     if c:
                         row[: n - i + 1] = map(add, row, [a * c * r for r in rising[n - i]])
-        rhs = Series([Poly(row) for row in bracket]) * quotient.truncate(m)
+        rhs = Series([Poly(row) for row in bracket]) * quotient
         # one cell per N; a mismatch is reported at its lowest power of t
         k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
         yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
@@ -247,16 +249,17 @@ def verify_cor8(
     """p_N(x) = sum_i a_i(N) <x>_{N-i}, as polynomials and at sample points.
 
     For each N the monomial expansion of the rising-factorial form must
-    coincide with the triangle-free symbolic construction, read from one
-    expansion of the generating function at order n_max, and its value at
-    every x in the grid must equal p_N(x).  Without a triangle, row N is
+    coincide with the triangle-free symbolic construction, n! [t^N] of the
+    one expansion that :func:`~convfib.convolved.conv_fib_poly_genfun`
+    keeps, read at order n_max, and its value at every x in the grid must
+    equal p_N(x).  Without a triangle, row N is
     the one :func:`~convfib.convolved.conv_fib_poly` rolls for itself.
     """
-    genfun = conv_fib_poly_genfun(n_max)  # one expansion serves every N
+    at_least("order", n_max, 0)  # n_max is the order of the expansion the oracle reads
     rows = _Rows(n_max)
     for n in range(n_max + 1):
         poly = conv_fib_poly(n, triangle)
-        oracle = conv_fib_poly_oracle(n, n_max, genfun)
+        oracle = conv_fib_poly_oracle(n, n_max)
         yield {"N": n, "check": "polynomial"}, poly.monomial, oracle
         for x in x_values:
             yield {"N": n, "x": x}, poly.evaluate(x), rows[x][n]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import random
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -34,6 +35,7 @@ from convfib.convolved import (
     triangle_recurrence,
 )
 from convfib.fibonacci import fib
+from convfib.identities import verify_cor8
 from convfib.poly import Poly
 from convfib.report import UsageError
 from convfib.series import Series
@@ -164,6 +166,24 @@ def series_row(r: int) -> tuple[int, ...]:
 def empty_cache():
     """conv_fib starts from no cached rows; the rows cached before come back after."""
     return patch.dict(convolved._rows, clear=True)
+
+
+def cold_genfun():
+    """conv_fib_poly_genfun starts from no kept expansion; the one kept before
+    comes back after, so nothing built inside (under a patch, say) outlives it."""
+    return patch.object(convolved, "_genfun", None)
+
+
+def count_exp(monkeypatch) -> list[int]:
+    """Patch Series.exp to record the order of each expansion; returns the record."""
+    exp, orders = Series.exp, []
+
+    def counted(series):
+        orders.append(series.order)
+        return exp(series)
+
+    monkeypatch.setattr(Series, "exp", counted)
+    return orders
 
 
 class TestRowCache:
@@ -446,14 +466,69 @@ class TestPolynomialOracle:
     def test_stable_under_larger_order(self):
         assert conv_fib_poly_oracle(4, 4) == conv_fib_poly_oracle(4, 9)
 
-    def test_reads_a_given_expansion(self):
-        genfun = conv_fib_poly_genfun(12)
-        for n in range(13):
-            assert conv_fib_poly_oracle(n, 12, genfun) == conv_fib_poly_oracle(n, n)
+    def test_warm_expansion_reads_as_cold(self):
+        conv_fib_poly_genfun(12)
+        warm = [conv_fib_poly_oracle(n, 12) for n in range(13)]
+        with cold_genfun():
+            assert warm == [conv_fib_poly_oracle(n, n) for n in range(13)]
 
     def test_short_order_rejected(self):
         with pytest.raises(TruncationTooShort):
             conv_fib_poly_oracle(5, 4)
+
+
+@functools.cache
+def cold_expansion(order: int) -> Series:
+    """conv_fib_poly_genfun(order) built from no kept expansion, once per order."""
+    with cold_genfun():
+        return conv_fib_poly_genfun(order)
+
+
+class TestSharedExpansion:
+    """conv_fib_poly_genfun keeps the largest expansion asked for and answers
+    every order from it; each answer equals a build from nothing."""
+
+    @pytest.mark.parametrize("warm_up", [(40,), (20, 40)])
+    def test_every_smaller_order_reads_as_cold(self, warm_up):
+        with cold_genfun():
+            for order in warm_up:
+                conv_fib_poly_genfun(order)
+            for k in range(41):
+                assert conv_fib_poly_genfun(k) == cold_expansion(k), k
+
+    @pytest.mark.parametrize("warm_up", [(), (40,)])
+    def test_negative_order_refused(self, warm_up):
+        with cold_genfun():
+            for order in warm_up:
+                conv_fib_poly_genfun(order)
+            with pytest.raises(UsageError, match=r"^order must be >= 0$"):
+                conv_fib_poly_genfun(-1)
+            with pytest.raises(UsageError, match=r"^order must be >= 0$"):
+                verify_cor8(n_max=-1)
+
+    def test_parallel_orders_read_as_cold(self, monkeypatch):
+        """Four threads ask at once for orders that rise and fall from no kept
+        expansion.  Each gets a cold build's series; under the lock, order 40
+        is built once and no smaller build replaces it."""
+        orders = (10, 40, 25, 40)
+        start = threading.Barrier(len(orders), timeout=10)
+        built = count_exp(monkeypatch)
+
+        def read(order):
+            start.wait()
+            return conv_fib_poly_genfun(order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with cold_genfun(), ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                results = list(pool.map(read, orders))
+                kept = convolved._genfun.order
+        finally:
+            sys.setswitchinterval(interval)
+        assert built.count(40) == 1 and kept == 40, built
+        for order, result in zip(orders, results):
+            assert result == cold_expansion(order), order
 
 
 class TestRisingFactorialPoly:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import inspect
 from math import comb, factorial
+from unittest.mock import patch
 
 import pytest
 
@@ -15,6 +16,7 @@ from convfib.convolved import (
     TruncationTooShort,
     conv_fib,
     conv_fib_poly,
+    conv_fib_poly_genfun,
     conv_fib_poly_oracle,
     conv_fib_row_by_recurrence,
 )
@@ -38,6 +40,7 @@ from convfib.identities import (
 from convfib.poly import Poly
 from convfib.report import UsageError
 from convfib.series import Series
+from test_convolved import cold_genfun, count_exp
 
 
 class TestGridsPass:
@@ -71,17 +74,25 @@ class TestGridsPass:
         assert verify_cor8(12, range(-4, 7)).passed
 
     def test_cor8_expands_the_generating_function_once(self, monkeypatch):
-        orders = []
-        genfun = convolved.conv_fib_poly_genfun
+        exps = count_exp(monkeypatch)
+        with cold_genfun():
+            assert verify_cor8(12, range(-4, 7)).passed
+        assert len(exps) == 1
 
-        def counted(order):
-            orders.append(order)
-            return genfun(order)
+    def test_thm6_and_cor8_read_a_perturbed_expansion(self):
+        """Once the kept expansion is cleared, both checks read the one
+        built next, here with t^5 off by one, and fail."""
+        conv_fib_poly_genfun(40)
+        exp = Series.exp
 
-        for module in (convolved, identities):  # directly or through the oracle
-            monkeypatch.setattr(module, "conv_fib_poly_genfun", counted)
-        assert verify_cor8(12, range(-4, 7)).passed
-        assert orders == [12]
+        def perturbed(self):
+            coeffs = list(exp(self).coefficients)
+            coeffs[5] += 1
+            return Series(coeffs)
+
+        with cold_genfun(), patch.object(Series, "exp", perturbed):
+            assert not verify_thm6().passed
+            assert not verify_cor8().passed
 
     def test_cor9(self):
         assert verify_cor9(25).passed
@@ -255,7 +266,14 @@ class TestWorkDoneOnce:
     per grid, F_l once per grid, and thm6 builds no dense power of
     (1 - t - t^2)^-1.  Integer work stays on plain integers: thm6 makes one
     product of two series over Q[x] per N, and p_N(x)'s Horner expansion
-    multiplies no Poly."""
+    multiplies no Poly.  The generating function is expanded once per rise
+    in the largest order asked for.  Each test starts from no kept
+    expansion, so what it counts does not depend on the tests before it."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        with cold_genfun():
+            yield
 
     @staticmethod
     def count_calls(monkeypatch, name, verify, modules=(identities,)):
@@ -335,6 +353,20 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(Series, "__mul__", counted)
         assert verify_thm6(7, 16).passed
         assert len(products) == 8  # the bracket times F / (1-t-t^2)^N, N = 0..7
+
+    def test_one_expansion_serves_every_smaller_order(self, monkeypatch):
+        exps = count_exp(monkeypatch)
+        for n in (39, 2, 20):
+            assert conv_fib_poly_oracle(n, n) == conv_fib_poly(n).monomial
+        assert verify_thm6(10, 30).passed
+        assert exps == [39]
+
+    def test_one_expansion_per_rise_of_the_largest_order(self, monkeypatch):
+        exps = count_exp(monkeypatch)
+        orders = [0, 3, 3, 8, 5, 8, 9, 2, 15, 16, 16]
+        for order in orders:
+            conv_fib_poly_genfun(order)
+        assert exps == [0, 3, 8, 9, 15, 16]  # each order above every one before it
 
     def test_conv_fib_poly_multiplies_no_poly(self, monkeypatch):
         expected = conv_fib_poly_oracle(40, 40)
