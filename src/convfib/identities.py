@@ -19,9 +19,10 @@ verifier by name and applies overrides on top of those defaults.
 from __future__ import annotations
 
 import inspect
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, lcm
 from operator import add, mul
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from convfib.convolved import (
     CoeffTriangle,
@@ -36,10 +37,9 @@ from convfib.convolved import (
     factorial_powers,
     rising_factorial_poly,
 )
-from convfib.fibonacci import base_series, fib, fib_genfun_check
-from convfib.poly import Poly, _product
+from convfib.fibonacci import fib, fib_genfun_check
+from convfib.poly import Poly, _add_product, _product, _trimmed
 from convfib.report import UsageError, VerificationReport, at_least, verifier
-from convfib.series import Series
 
 
 class _Rows(dict):
@@ -139,6 +139,31 @@ def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
             yield {"n": n, "r": r}, rows[r + 1][n], conv_fib_by_nested_sum(n, r + 1)
 
 
+def _divided_by_base(a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """k! [t^k] of A / (1 - t - t^2) for every k of ``a`` = [k! [t^k] A], as
+    integer lists in x: from (1 - t - t^2) Q = A, the step
+    Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2}, which holds no x."""
+    q: list[list[int]] = []
+    for k, row in enumerate(a):
+        q1, q2, w = q[k - 1] if k else (), q[k - 2] if k > 1 else (), k * (k - 1)
+        q.append([c + k * c1 + w * c2 for c, c1, c2 in zip_longest(row, q1, q2, fillvalue=0)])
+    return q
+
+
+def _scaled_product(
+    bracket: list[list[int]], series: Sequence[Sequence[int]], k: int
+) -> tuple[int, ...]:
+    """k! [t^k] of (sum_j b_j t^j) * S, from the b_j, all of one length, and
+    ``series`` = [k! [t^k] S], all integer lists in x: sum_j (k)_j b_j S_{k-j}."""
+    out = [0] * (len(bracket[0]) + max(map(len, series[: k + 1])))
+    falling = 1  # (k)_j, one factor more per j
+    for j, b in enumerate(bracket[: k + 1]):
+        if j:
+            falling *= k - j + 1
+        _add_product(out, [falling * c for c in b], series[k - j])
+    return _trimmed(out)
+
+
 @verifier("thm6")
 def verify_thm6(
     n_max: int = 10, order: int = 30, triangle: Optional[CoeffTriangle] = None
@@ -150,25 +175,31 @@ def verify_thm6(
 
         sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^{-(N-i)} * F
 
-    exactly through order - N, for every N <= n_max.  F is read from the
-    expansion that :func:`~convfib.convolved.conv_fib_poly_genfun` keeps,
-    and the left side differentiates it once per N.  The right side is the
-    polynomial bracket sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^i
-    times G = F / (1-t-t^2)^N, kept through order - N: each G is the one
-    before, cut to that order and divided once by 1 - t - t^2.  Each <x>_k
-    is built once per check, and so are the powers of (1+2t) and of
-    1 - t - t^2, each from the one before.  Those powers have integer
-    coefficients, so they are plain integer lists, and each t^j coefficient
-    of the bracket is one integer combination of the <x>_k.  The one
-    product over Q[x] per N is the bracket times G.
+    exactly through order - N, for every N <= n_max.  Every series in t is
+    held as its k! [t^k] coefficients, integer lists in x over one common
+    denominator, which clears whatever denominators the expansion of F
+    that :func:`~convfib.convolved.conv_fib_poly_genfun` keeps may hold.
+    In that form the left side's k-th entry, (k+N)! [t^(k+N)] F, is read
+    off the expansion by an index shift.  The right side is the polynomial
+    bracket sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^i, with integer
+    coefficients, times G = F / (1-t-t^2)^N, kept through order - N: each
+    G is the one before, cut to that order and divided once by
+    1 - t - t^2 by an integer step.  Its k-th entry is
+    sum_j (k)_j b_j G_{k-j}, for the bracket's t^j coefficients b_j.  Each
+    <x>_k is built once per check, and so are the powers of (1+2t) and of
+    1 - t - t^2, each from the one before.  A mismatch is reported at its
+    lowest power of t, as the two t^k coefficients over Q[x].
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
 
-    gen = conv_fib_poly_genfun(order)
-    base = base_series(order).lift()
+    # k! [t^k] F = p_k(x) for k <= order, numerators over the common denominator,
+    # read from each Poly's canonical integer numerators and denominator
+    scaled = [c * factorial(k) for k, c in enumerate(conv_fib_poly_genfun(order).coefficients)]
+    den = lcm(*(p._den for p in scaled))
+    hurwitz = [tuple(c * (den // p._den) for c in p._nums) for p in scaled]
     rising = [[int(c) for c in rising_factorial_poly(k).coefficients] for k in range(n_max + 1)]
     # integer coefficient lists in t, lowest power first: (1 - t - t^2)^i for
     # i = 0 .. floor((n_max+1)/2), the largest i in a row
@@ -178,17 +209,15 @@ def verify_thm6(
     # and (1+2t)^e for e = -1 .. n_max; -1 occurs at i = (N+1)/2 for odd N,
     # where the triangle holds a zero unless it was altered, and (1+2t)^-1
     # has the integer coefficients (-2)^k
-    two_t = Series.from_polynomial((1, 2), order)
-    two_t_pows = {-1: [int(c) for c in two_t.inverse().coefficients], 0: [1]}
+    two_t_pows = {-1: [(-2) ** k for k in range(order + 1)], 0: [1]}
     for e in range(1, n_max + 1):
         two_t_pows[e] = _product(two_t_pows[e - 1], (1, 2))
 
-    lhs = quotient = gen
+    quotient = hurwitz
     for n in range(n_max + 1):
         m = order - n
         if n:
-            lhs = lhs.derivative()
-            quotient = quotient.truncate(m) / base
+            quotient = _divided_by_base(quotient[: m + 1])
         bracket = [[0] * (n + 1) for _ in range(m + 1)]  # t^j -> coefficients in x
         for i, a in enumerate(triangle.row(n)):
             if a:
@@ -196,10 +225,15 @@ def verify_thm6(
                 for row, c in zip(bracket, t_coeffs):
                     if c:
                         row[: n - i + 1] = map(add, row, [a * c * r for r in rising[n - i]])
-        rhs = Series([Poly(row) for row in bracket]) * quotient
+        while len(bracket) > 1 and not any(bracket[-1]):
+            bracket.pop()  # t^j beyond the bracket's degree adds nothing
         # one cell per N; a mismatch is reported at its lowest power of t
-        k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
-        yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
+        for k in range(m + 1):
+            lhs, rhs = hurwitz[k + n], _scaled_product(bracket, quotient, k)
+            if lhs != rhs:
+                break
+        scale = den * factorial(k)
+        yield {"N": n, "t_power": k}, Poly(lhs) / scale, Poly(rhs) / scale
 
 
 @verifier("thm7")

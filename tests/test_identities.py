@@ -5,10 +5,15 @@ from __future__ import annotations
 
 import functools
 import inspect
+from fractions import Fraction
 from math import comb, factorial
+from operator import add
+from typing import Optional
 from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convfib import convolved, identities
 from convfib.convolved import (
@@ -19,8 +24,9 @@ from convfib.convolved import (
     conv_fib_poly_genfun,
     conv_fib_poly_oracle,
     conv_fib_row_by_recurrence,
+    rising_factorial_poly,
 )
-from convfib.fibonacci import fib
+from convfib.fibonacci import base_series, fib
 from convfib.identities import (
     IDENTITY_NAMES,
     _binomial_weights,
@@ -38,9 +44,40 @@ from convfib.identities import (
     verify_thm7,
 )
 from convfib.poly import Poly
-from convfib.report import UsageError
+from convfib.report import UsageError, verifier
 from convfib.series import Series
 from test_convolved import cold_genfun, count_exp
+
+
+@verifier("thm6")
+def thm6_reference(n_max: int = 10, order: int = 30, triangle: Optional[CoeffTriangle] = None):
+    """thm6 on Series over Q[x]: the N-th t-derivative of the kept F against
+    the bracket, built from series powers over Q, times F / (1-t-t^2)^N.
+    verify_thm6 must give the same reports."""
+    if order < n_max:
+        raise TruncationTooShort(f"need order >= {n_max}, got {order}")
+    if triangle is None:
+        triangle = CoeffTriangle.from_recurrence(n_max)
+    gen = conv_fib_poly_genfun(order)
+    base = base_series(order).lift()
+    rising = [[int(c) for c in rising_factorial_poly(k).coefficients] for k in range(n_max + 1)]
+    two_t = Series.from_polynomial((1, 2), order)
+    lhs = quotient = gen
+    for n in range(n_max + 1):
+        m = order - n
+        if n:
+            lhs = lhs.derivative()
+            quotient = quotient.truncate(m) / base
+        bracket = [[0] * (n + 1) for _ in range(m + 1)]  # t^j -> coefficients in x
+        for i, a in enumerate(triangle.row(n)):
+            if a:
+                power = two_t.inverse() if n - 2 * i < 0 else two_t ** (n - 2 * i)
+                powers = [int(c) for c in (power * base_series(order) ** i).coefficients]
+                for row, c in zip(bracket, powers):
+                    row[: n - i + 1] = map(add, row, [a * c * r for r in rising[n - i]])
+        rhs = Series([Poly(row) for row in bracket]) * quotient
+        k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
+        yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
 
 
 class TestGridsPass:
@@ -93,6 +130,24 @@ class TestGridsPass:
         with cold_genfun(), patch.object(Series, "exp", perturbed):
             assert not verify_thm6().passed
             assert not verify_cor8().passed
+
+    @pytest.mark.parametrize("delta", [1, Fraction(1, 7)])
+    def test_thm6_is_exact_on_a_perturbed_expansion(self, delta):
+        """With t^5 of the expansion off by a whole or a fractional amount,
+        so that 5! [t^5] F is no integer, thm6 fails with the report of the
+        Series form."""
+        conv_fib_poly_genfun(40)
+        exp = Series.exp
+
+        def perturbed(self):
+            coeffs = list(exp(self).coefficients)
+            coeffs[5] += delta
+            return Series(coeffs)
+
+        with cold_genfun(), patch.object(Series, "exp", perturbed):
+            report = verify_thm6()
+            assert report.status == "fail"
+            assert report == thm6_reference()
 
     def test_cor9(self):
         assert verify_cor9(25).passed
@@ -263,12 +318,12 @@ class TestSharedRowCode:
 
 class TestWorkDoneOnce:
     """Each verifier does its arithmetic once: value rows are read once
-    per grid, F_l once per grid, and thm6 builds no dense power of
-    (1 - t - t^2)^-1.  Integer work stays on plain integers: thm6 makes one
-    product of two series over Q[x] per N, and p_N(x)'s Horner expansion
-    multiplies no Poly.  The generating function is expanded once per rise
-    in the largest order asked for.  Each test starts from no kept
-    expansion, so what it counts does not depend on the tests before it."""
+    per grid, and F_l once per grid.  Integer work stays on plain integers:
+    thm6 holds every series as n!-scaled integer lists and runs no series
+    arithmetic, and p_N(x)'s Horner expansion multiplies no Poly.  The
+    generating function is expanded once per rise in the largest order
+    asked for.  Each test starts from no kept expansion, so what it counts
+    does not depend on the tests before it."""
 
     @pytest.fixture(autouse=True)
     def cold(self):
@@ -325,34 +380,18 @@ class TestWorkDoneOnce:
         calls = self.count_calls(monkeypatch, "fib", verify_cor4, (convolved, identities))
         assert calls <= 61
 
-    def test_thm6_inverts_once_and_takes_no_power(self, monkeypatch):
-        inverse = Series.inverse
-        inverted = []
+    def test_thm6_runs_no_series_arithmetic(self, monkeypatch):
+        # a_4(7) lies on the zero diagonal of an odd row, where thm6 needs (1+2t)^-1
+        altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
+        expected = [thm6_reference(7, 16), thm6_reference(7, 16, triangle=altered)]
+        assert [report.status for report in expected] == ["pass", "fail"]
 
-        def counted(self):
-            inverted.append(self)
-            return inverse(self)
+        def refuse(*args):
+            raise AssertionError("thm6 ran series arithmetic")
 
-        def refuse(self, exponent):
-            raise AssertionError("thm6 took a series power")
-
-        monkeypatch.setattr(Series, "inverse", counted)
-        monkeypatch.setattr(Series, "__pow__", refuse)
-        assert verify_thm6(7, 16).passed
-        assert len(inverted) == 1  # (1+2t)^-1, for an altered odd-row diagonal
-
-    def test_thm6_multiplies_two_qx_series_once_per_n(self, monkeypatch):
-        multiply = Series.__mul__
-        products = []
-
-        def counted(self, other):
-            if isinstance(other, Series) and self.is_poly_ring() and other.is_poly_ring():
-                products.append(other)
-            return multiply(self, other)
-
-        monkeypatch.setattr(Series, "__mul__", counted)
-        assert verify_thm6(7, 16).passed
-        assert len(products) == 8  # the bracket times F / (1-t-t^2)^N, N = 0..7
+        for name in ("__mul__", "__rmul__", "__truediv__", "inverse", "__pow__", "derivative"):
+            monkeypatch.setattr(Series, name, refuse)
+        assert [verify_thm6(7, 16), verify_thm6(7, 16, triangle=altered)] == expected
 
     def test_one_expansion_serves_every_smaller_order(self, monkeypatch):
         exps = count_exp(monkeypatch)
@@ -464,6 +503,38 @@ class TestMutationSensitivity:
         assert verify_thm7(4, 6, range(1, 4), triangle=triangle).passed
         assert verify_cor8(6, range(-2, 5), triangle=triangle).passed
         assert verify_cor9(6, triangle=CoeffTriangle.from_closed_form(6)).passed
+
+
+class TestThm6AgainstTheSeriesForm:
+    """verify_thm6, on n!-scaled integer lists, gives the reports of
+    thm6_reference, the same check on Series over Q[x]."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        grid=st.sampled_from([(8, 24), (10, 30)]),
+        n=st.integers(0, 10),
+        data=st.data(),
+        delta=st.integers(-5, 5).filter(bool),
+    )
+    def test_one_altered_entry(self, grid, n, data, delta):
+        i = data.draw(st.integers(0, (n + 1) // 2), label="i")
+        triangle = CoeffTriangle.from_recurrence(10)
+        altered = triangle.with_entry(n, i, triangle.entry(n, i) + delta)
+        report = verify_thm6(*grid, triangle=altered)
+        assert report == thm6_reference(*grid, triangle=altered)
+        # the bracket changes by delta <x>_{N-i} at t^0, so a row in the grid fails there
+        if n <= grid[0]:
+            assert report.counterexample["params"] == {"N": n, "t_power": 0}
+        else:
+            assert report.passed
+
+    @pytest.mark.parametrize(
+        "n_max,order", sorted({(n, o) for n in range(13) for o in (n, n + 1, 3 * n)})
+    )
+    def test_unaltered_triangle(self, n_max, order):
+        report = verify_thm6(n_max, order)
+        assert report.passed
+        assert report == thm6_reference(n_max, order)
 
 
 class TestCrossConsistency:
