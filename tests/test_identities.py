@@ -393,6 +393,48 @@ class TestWorkDoneOnce:
             monkeypatch.setattr(Series, name, refuse)
         assert [verify_thm6(7, 16), verify_thm6(7, 16, triangle=altered)] == expected
 
+    def test_thm6_inverts_once_and_takes_no_power(self, monkeypatch):
+        # (1+2t)^-1 is the list (-2)^k, made once; (1+2t)^e for e = 1..7 each
+        # take one factor 1+2t onto the one before, and no series is raised
+        # to a power or inverted
+        altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
+        expected = thm6_reference(7, 16, triangle=altered)
+        product = identities._product
+        factors = []
+
+        def counted(a, b):
+            factors.append(tuple(b))
+            return product(a, b)
+
+        def refuse(*args):
+            raise AssertionError("thm6 inverted a series or took a series power")
+
+        monkeypatch.setattr(identities, "_product", counted)
+        monkeypatch.setattr(Series, "inverse", refuse)
+        monkeypatch.setattr(Series, "__pow__", refuse)
+        assert verify_thm6(7, 16, triangle=altered) == expected
+        assert factors.count((1, 2)) == 7
+
+    def test_thm6_multiplies_two_qx_series_once_per_n(self, monkeypatch):
+        # per N the bracket times F / (1-t-t^2)^N is formed once, one product
+        # per t^k through order - N, with each quotient one division further
+        divide, multiply = identities._divided_by_base, identities._scaled_product
+        quotients, products = [], []
+
+        def divided(a):
+            quotients.append(len(a))
+            return divide(a)
+
+        def scaled(bracket, series, k):
+            products.append(k)
+            return multiply(bracket, series, k)
+
+        monkeypatch.setattr(identities, "_divided_by_base", divided)
+        monkeypatch.setattr(identities, "_scaled_product", scaled)
+        assert verify_thm6(7, 16).passed
+        assert quotients == [17 - n for n in range(1, 8)]  # N = 1..7
+        assert products == [k for n in range(8) for k in range(17 - n)]  # N = 0..7
+
     def test_one_expansion_serves_every_smaller_order(self, monkeypatch):
         exps = count_exp(monkeypatch)
         for n in (39, 2, 20):
