@@ -21,7 +21,7 @@ from __future__ import annotations
 import inspect
 from itertools import zip_longest
 from math import comb, factorial, lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from convfib.convolved import (
@@ -38,7 +38,7 @@ from convfib.convolved import (
     rising_factorial_poly,
 )
 from convfib.fibonacci import fib, fib_genfun_check
-from convfib.poly import Poly, _add_product, _product, _trimmed
+from convfib.poly import Poly, _add_product
 from convfib.report import UsageError, VerificationReport, at_least, verifier
 
 
@@ -139,29 +139,22 @@ def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
             yield {"n": n, "r": r}, rows[r + 1][n], conv_fib_by_nested_sum(n, r + 1)
 
 
-def _divided_by_base(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """k! [t^k] of A / (1 - t - t^2) for every k of ``a`` = [k! [t^k] A], as
-    integer lists in x: from (1 - t - t^2) Q = A, the step
-    Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2}, which holds no x."""
+def _next_copy(u: Sequence[Sequence[int]]) -> list[list[int]]:
+    """k! [t^k] of (1+2t)^2 U / (1 - t - t^2) for every k of ``u`` =
+    [k! [t^k] U], as integer lists in x.  With A = (1+2t)^2 U and
+    (1 - t - t^2) Q = A, the step is Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2},
+    where A_k = U_k + 4k U_{k-1} + 4k(k-1) U_{k-2}; neither holds x."""
     q: list[list[int]] = []
-    for k, row in enumerate(a):
-        q1, q2, w = q[k - 1] if k else (), q[k - 2] if k > 1 else (), k * (k - 1)
-        q.append([c + k * c1 + w * c2 for c, c1, c2 in zip_longest(row, q1, q2, fillvalue=0)])
+    u1 = u2 = q1 = q2 = ()  # the entries at k - 1 and k - 2
+    for k, u0 in enumerate(u):
+        w = k * (k - 1)
+        q0 = [
+            c + k * (4 * c1 + d1) + w * (4 * c2 + d2)
+            for c, c1, c2, d1, d2 in zip_longest(u0, u1, u2, q1, q2, fillvalue=0)
+        ]
+        q.append(q0)
+        u1, u2, q1, q2 = u0, u1, q0, q1
     return q
-
-
-def _scaled_product(
-    bracket: list[list[int]], series: Sequence[Sequence[int]], k: int
-) -> tuple[int, ...]:
-    """k! [t^k] of (sum_j b_j t^j) * S, from the b_j, all of one length, and
-    ``series`` = [k! [t^k] S], all integer lists in x: sum_j (k)_j b_j S_{k-j}."""
-    out = [0] * (len(bracket[0]) + max(map(len, series[: k + 1])))
-    falling = 1  # (k)_j, one factor more per j
-    for j, b in enumerate(bracket[: k + 1]):
-        if j:
-            falling *= k - j + 1
-        _add_product(out, [falling * c for c in b], series[k - j])
-    return _trimmed(out)
 
 
 @verifier("thm6")
@@ -175,20 +168,20 @@ def verify_thm6(
 
         sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^{-(N-i)} * F
 
-    exactly through order - N, for every N <= n_max.  Every series in t is
+    exactly through order - N, for every N <= n_max.  Both sides are
+    checked times (1+2t)^N, whose constant term is 1, so the products first
+    differ where the sides do, by the same amount.  Every series in t is
     held as its k! [t^k] coefficients, integer lists in x over one common
     denominator, which clears whatever denominators the expansion of F
     that :func:`~convfib.convolved.conv_fib_poly_genfun` keeps may hold.
-    In that form the left side's k-th entry, (k+N)! [t^(k+N)] F, is read
-    off the expansion by an index shift.  The right side is the polynomial
-    bracket sum_i a_i(N) <x>_{N-i} (1+2t)^{N-2i} (1-t-t^2)^i, with integer
-    coefficients, times G = F / (1-t-t^2)^N, kept through order - N: each
-    G is the one before, cut to that order and divided once by
-    1 - t - t^2 by an integer step.  Its k-th entry is
-    sum_j (k)_j b_j G_{k-j}, for the bracket's t^j coefficients b_j.  Each
-    <x>_k is built once per check, and so are the powers of (1+2t) and of
-    1 - t - t^2, each from the one before.  A mismatch is reported at its
-    lowest power of t, as the two t^k coefficients over Q[x].
+    The left side V_N = (1+2t)^N F^(N) starts from that expansion; by the
+    product rule V_{N+1} = (1+2t) V_N' - 2N V_N, whose k-th entry is
+    V_N[k+1] + 2(k-N) V_N[k].  The right side is
+    sum_i a_i(N) <x>_{N-i} U_{N-i} for U_s = (1+2t)^{2s} (1-t-t^2)^{-s} F,
+    each one :func:`_next_copy` step from the one before.  Neither step
+    holds x.  A mismatch is reported at its lowest power k of t, as the
+    t^k coefficient of F^(N), (k+N)! [t^(k+N)] F / k!, and that less the
+    difference of the products there.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
@@ -201,38 +194,29 @@ def verify_thm6(
     den = lcm(*(p._den for p in scaled))
     hurwitz = [tuple(c * (den // p._den) for c in p._nums) for p in scaled]
     rising = [[int(c) for c in rising_factorial_poly(k).coefficients] for k in range(n_max + 1)]
-    # integer coefficient lists in t, lowest power first: (1 - t - t^2)^i for
-    # i = 0 .. floor((n_max+1)/2), the largest i in a row
-    base_pows = [[1]]
-    for _ in range((n_max + 1) // 2):
-        base_pows.append(_product(base_pows[-1], (1, -1, -1)))
-    # and (1+2t)^e for e = -1 .. n_max; -1 occurs at i = (N+1)/2 for odd N,
-    # where the triangle holds a zero unless it was altered, and (1+2t)^-1
-    # has the integer coefficients (-2)^k
-    two_t_pows = {-1: [(-2) ** k for k in range(order + 1)], 0: [1]}
-    for e in range(1, n_max + 1):
-        two_t_pows[e] = _product(two_t_pows[e - 1], (1, 2))
 
-    quotient = hurwitz
+    left, copies = hurwitz, [hurwitz]
     for n in range(n_max + 1):
         m = order - n
         if n:
-            quotient = _divided_by_base(quotient[: m + 1])
-        bracket = [[0] * (n + 1) for _ in range(m + 1)]  # t^j -> coefficients in x
-        for i, a in enumerate(triangle.row(n)):
-            if a:
-                t_coeffs = _product(two_t_pows[n - 2 * i], base_pows[i])[: m + 1]
-                for row, c in zip(bracket, t_coeffs):
-                    if c:
-                        row[: n - i + 1] = map(add, row, [a * c * r for r in rising[n - i]])
-        while len(bracket) > 1 and not any(bracket[-1]):
-            bracket.pop()  # t^j beyond the bracket's degree adds nothing
+            left = [
+                [c + 2 * (k - n + 1) * d for c, d in zip_longest(left[k + 1], left[k], fillvalue=0)]
+                for k in range(m + 1)
+            ]
+            copies.append(_next_copy(copies[-1][: m + 1]))
+        terms = [
+            ([a * c for c in rising[n - i]], copies[n - i]) for i, a in enumerate(triangle.row(n)) if a
+        ]
         # one cell per N; a mismatch is reported at its lowest power of t
         for k in range(m + 1):
-            lhs, rhs = hurwitz[k + n], _scaled_product(bracket, quotient, k)
-            if lhs != rhs:
+            right = [0] * (n + 1 + max((len(copy[k]) for _, copy in terms), default=0))
+            for factor, copy in terms:
+                _add_product(right, factor, copy[k])
+            diff = [v - r for v, r in zip_longest(left[k], right, fillvalue=0)]
+            if any(diff):
                 break
-        scale = den * factorial(k)
+        lhs, scale = hurwitz[k + n], den * factorial(k)
+        rhs = [c - d for c, d in zip_longest(lhs, diff, fillvalue=0)]
         yield {"N": n, "t_power": k}, Poly(lhs) / scale, Poly(rhs) / scale
 
 

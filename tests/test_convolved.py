@@ -37,7 +37,7 @@ from convfib.convolved import (
 from convfib.fibonacci import fib
 from convfib.identities import verify_cor8
 from convfib.poly import Poly
-from convfib.report import UsageError
+from convfib.report import UsageError, VerificationReport
 from convfib.series import Series
 
 
@@ -151,6 +151,55 @@ def test_negative_bound_is_usage_error(entry, args, message):
     with pytest.raises(UsageError) as caught:
         entry(*args)
     assert str(caught.value) == message
+
+
+# guards and reprs that no computation in range reaches: (call, the exact
+# exception type it raises or None when it returns, the message or the repr)
+GUARDS = [
+    pytest.param(
+        lambda: convolved._exact_int(Fraction(5, 2)), ArithmeticError,
+        "expected an integer, got 5/2", id="_exact_int",
+    ),
+    pytest.param(
+        lambda: CoeffTriangle.from_recurrence(3).row(4), IndexError,
+        "row 4 not computed (have 0..3)", id="CoeffTriangle.row",
+    ),
+    pytest.param(
+        lambda: VerificationReport("thm6", {}, 1, "skip"), ValueError,
+        "status must be 'pass' or 'fail', got 'skip'", id="report-status",
+    ),
+    pytest.param(
+        lambda: VerificationReport("thm6", {}, 1, "fail"), ValueError,
+        "counterexample must be present exactly when status is 'fail'", id="report-counterexample",
+    ),
+    pytest.param(
+        lambda: Poly([1, 2]).constant_value(), ValueError,
+        "Poly(['1', '2']) is not constant", id="Poly.constant_value",
+    ),
+    pytest.param(
+        lambda: repr(Poly([1, Fraction(-1, 2), 0, 3])), None,
+        "Poly(['1', '-1/2', '0', '3'])", id="Poly.__repr__",
+    ),
+    pytest.param(
+        lambda: repr(Series(range(8))), None,
+        "Series([0, 1, 2, 3, 4, 5, 6, 7], order=7)", id="Series.__repr__",
+    ),
+    pytest.param(
+        lambda: repr(Series([Fraction(1, 3)] * 9)), None,
+        "Series([1/3, 1/3, 1/3, 1/3, 1/3, 1/3, 1/3, 1/3, ...], order=8)", id="Series.__repr__-elided",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, text", GUARDS)
+def test_guard_message_or_repr(call, error, text):
+    if error is None:
+        assert call() == text
+        return
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == text
 
 
 N_TOP = 200

@@ -3,24 +3,32 @@
 A faster right side must still report the same first failing cell with
 the same two values.  Each case alters one input, either one triangle
 entry or ``identities.conv_fib`` at one point, and its report is compared
-with ``tests/golden/mutated_reports.ndjson``.  Regenerate that file only
-from a tree whose reports are known good:
+with ``tests/golden/mutated_reports.ndjson``.  Every thm6 report there
+fails at t^0, so thm6 is also run on perturbed expansions of F, which
+fail above t^0, and compared with ``tests/golden/thm6_perturbed_reports.ndjson``.
+Regenerate a file only from a tree whose reports are known good:
 
     PYTHONPATH=src python tests/test_golden_reports.py > tests/golden/mutated_reports.ndjson
+    PYTHONPATH=src python tests/test_golden_reports.py perturbed > tests/golden/thm6_perturbed_reports.ndjson
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator
 
 import pytest
 
 from convfib import identities
-from convfib.convolved import CoeffTriangle, conv_fib
+from convfib.convolved import CoeffTriangle, conv_fib, conv_fib_poly_genfun
+from convfib.series import Series
+from test_convolved import cold_genfun
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "mutated_reports.ndjson"
+PERTURBED_GOLDEN = GOLDEN.with_name("thm6_perturbed_reports.ndjson")
 
 # the triangle consumers, each on a grid that reads every entry of rows 0..8
 TRIANGLE_CHECKS: dict[str, Callable] = {
@@ -65,8 +73,34 @@ def mutated_reports(monkeypatch: pytest.MonkeyPatch) -> Iterator[dict]:
                 yield {"conv_fib_wrong_at": list(point), "check": name, "report": check().to_json_dict()}
 
 
-def lines(monkeypatch: pytest.MonkeyPatch) -> list[str]:
-    return [json.dumps(record) for record in mutated_reports(monkeypatch)]
+# thm6 grids, as (n_max, order), on expansions of F with one coefficient off
+PERTURBED_GRIDS = [(10, 30), (14, 32), (14, 14)]
+PERTURBED_POWERS = [0, 5, 12, 30]
+PERTURBED_DELTAS = [1, Fraction(1, 7), Fraction(2, 3), Fraction(-1, 11)]
+
+
+def perturbed_reports(monkeypatch: pytest.MonkeyPatch) -> Iterator[dict]:
+    """One record per (power, delta, grid): thm6 on an expansion of F built
+    through t^32 with t^power off by delta.  A power beyond a grid's order
+    leaves the grid's truncation exact, so that grid passes."""
+    exp = Series.exp
+    for power in PERTURBED_POWERS:
+        for delta in PERTURBED_DELTAS:
+            def perturbed(self: Series, power: int = power, delta: Fraction = delta) -> Series:
+                coeffs = list(exp(self).coefficients)
+                coeffs[power] += delta
+                return Series(coeffs)
+
+            with cold_genfun(), monkeypatch.context() as patch:
+                patch.setattr(Series, "exp", perturbed)
+                conv_fib_poly_genfun(max(order for _, order in PERTURBED_GRIDS))
+                for grid in PERTURBED_GRIDS:
+                    report = identities.verify_thm6(*grid).to_json_dict()
+                    yield {"power": power, "delta": str(delta), "grid": list(grid), "report": report}
+
+
+def lines(monkeypatch: pytest.MonkeyPatch, records=mutated_reports) -> list[str]:
+    return [json.dumps(record) for record in records(monkeypatch)]
 
 
 def test_mutated_reports_match_the_golden_file(monkeypatch):
@@ -74,6 +108,12 @@ def test_mutated_reports_match_the_golden_file(monkeypatch):
     assert lines(monkeypatch) == golden
 
 
+def test_thm6_perturbed_reports_match_the_golden_file(monkeypatch):
+    golden = PERTURBED_GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert lines(monkeypatch, perturbed_reports) == golden
+
+
 if __name__ == "__main__":
+    records = perturbed_reports if sys.argv[1:] == ["perturbed"] else mutated_reports
     with pytest.MonkeyPatch.context() as mp:
-        print("\n".join(lines(mp)))
+        print("\n".join(lines(mp, records)))

@@ -320,9 +320,10 @@ class TestWorkDoneOnce:
     """Each verifier does its arithmetic once: value rows are read once
     per grid, and F_l once per grid.  Integer work stays on plain integers:
     thm6 holds every series as n!-scaled integer lists and runs no series
-    arithmetic, and p_N(x)'s Horner expansion multiplies no Poly.  The
-    generating function is expanded once per rise in the largest order
-    asked for.  Each test starts from no kept expansion, so what it counts
+    arithmetic, makes each copy U_s of F from the one before, and forms one
+    product per triangle entry and power of t; p_N(x)'s Horner expansion
+    multiplies no Poly.  The generating function is expanded once per rise
+    in the largest order asked for.  Each test starts from no kept expansion, so what it counts
     does not depend on the tests before it."""
 
     @pytest.fixture(autouse=True)
@@ -381,7 +382,7 @@ class TestWorkDoneOnce:
         assert calls <= 61
 
     def test_thm6_runs_no_series_arithmetic(self, monkeypatch):
-        # a_4(7) lies on the zero diagonal of an odd row, where thm6 needs (1+2t)^-1
+        # a_4(7) lies on the zero diagonal of an odd row, where (1+2t)^(N-2i) is (1+2t)^-1
         altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
         expected = [thm6_reference(7, 16), thm6_reference(7, 16, triangle=altered)]
         assert [report.status for report in expected] == ["pass", "fail"]
@@ -394,46 +395,46 @@ class TestWorkDoneOnce:
         assert [verify_thm6(7, 16), verify_thm6(7, 16, triangle=altered)] == expected
 
     def test_thm6_inverts_once_and_takes_no_power(self, monkeypatch):
-        # (1+2t)^-1 is the list (-2)^k, made once; (1+2t)^e for e = 1..7 each
-        # take one factor 1+2t onto the one before, and no series is raised
-        # to a power or inverted
+        # each copy U_s = (1+2t)^2s (1-t-t^2)^-s F is one _next_copy step from
+        # U_{s-1}, cut to order - s + 1 entries; the altered a_4(7) reads U_3
+        # like any other entry, and no series is raised to a power or inverted
         altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
         expected = thm6_reference(7, 16, triangle=altered)
-        product = identities._product
-        factors = []
+        step, lengths = identities._next_copy, []
 
-        def counted(a, b):
-            factors.append(tuple(b))
-            return product(a, b)
+        def counted(u):
+            lengths.append(len(u))
+            return step(u)
 
         def refuse(*args):
             raise AssertionError("thm6 inverted a series or took a series power")
 
-        monkeypatch.setattr(identities, "_product", counted)
+        monkeypatch.setattr(identities, "_next_copy", counted)
         monkeypatch.setattr(Series, "inverse", refuse)
         monkeypatch.setattr(Series, "__pow__", refuse)
         assert verify_thm6(7, 16, triangle=altered) == expected
-        assert factors.count((1, 2)) == 7
+        assert lengths == [17 - s for s in range(1, 8)]  # s = 1..7
 
     def test_thm6_multiplies_two_qx_series_once_per_n(self, monkeypatch):
-        # per N the bracket times F / (1-t-t^2)^N is formed once, one product
-        # per t^k through order - N, with each quotient one division further
-        divide, multiply = identities._divided_by_base, identities._scaled_product
-        quotients, products = [], []
+        # per N and t^k through order - N, the right side is one product per
+        # nonzero a_i(N), of a_i(N) <x>_{N-i} with U_{N-i}'s t^k entry; each
+        # N >= 1 starts with its one new copy, which starts that N's count
+        step, multiply = identities._next_copy, identities._add_product
+        per_n = [0]
 
-        def divided(a):
-            quotients.append(len(a))
-            return divide(a)
+        def counted_step(u):
+            per_n.append(0)
+            return step(u)
 
-        def scaled(bracket, series, k):
-            products.append(k)
-            return multiply(bracket, series, k)
+        def counted_product(out, a, b):
+            per_n[-1] += 1
+            multiply(out, a, b)
 
-        monkeypatch.setattr(identities, "_divided_by_base", divided)
-        monkeypatch.setattr(identities, "_scaled_product", scaled)
+        monkeypatch.setattr(identities, "_next_copy", counted_step)
+        monkeypatch.setattr(identities, "_add_product", counted_product)
         assert verify_thm6(7, 16).passed
-        assert quotients == [17 - n for n in range(1, 8)]  # N = 1..7
-        assert products == [k for n in range(8) for k in range(17 - n)]  # N = 0..7
+        triangle = CoeffTriangle.from_recurrence(7)
+        assert per_n == [(17 - n) * sum(map(bool, triangle.row(n))) for n in range(8)]  # N = 0..7
 
     def test_one_expansion_serves_every_smaller_order(self, monkeypatch):
         exps = count_exp(monkeypatch)
@@ -504,7 +505,7 @@ class TestMutationSensitivity:
     """A single +1 on any one triangle entry must break every check that
     consumes the triangle, with the counterexample populated."""
 
-    # (3, 2) is on the zero diagonal of an odd row, where thm6 needs (1+2t)^-1
+    # (3, 2) is on the zero diagonal of an odd row, where (1+2t)^(N-2i) is (1+2t)^-1
     MUTATIONS = ((3, 1), (3, 2), (5, 2), (6, 3))
 
     @pytest.fixture()
