@@ -24,7 +24,7 @@ from convfib.convolved import (
     triangle_closed,
     triangle_recurrence,
 )
-from convfib.fibonacci import FibTable, fib, fib_genfun_check, fib_pure
+from convfib.fibonacci import fib, fib_genfun_check, fib_pure
 from convfib.identities import (
     IDENTITY_NAMES,
     run_identity,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadConstantTerm",
     "CoeffTriangle",
-    "FibTable",
     "IDENTITY_NAMES",
     "IndexOutOfTriangle",
     "NonInvertibleConstantTerm",

@@ -22,11 +22,11 @@ from convfib.convolved import (
     conv_fib_row_by_recurrence,
     conv_fib_row_holonomic,
 )
-from convfib.fibonacci import fib
 from convfib.report import CrossCheckFailure, at_least
 
 # Each value runner computes p_n(depth + 1) from scratch; none reads the
-# conv_fib cache.  Runners name module globals, looked up at call time.
+# conv_fib cache, and the times of nested-sum and falling-recurrence include
+# reading F_0 .. F_n.  Runners name module globals, looked up at call time.
 VALUE_ALGORITHMS: dict[str, Callable[[int, int], int]] = {
     "nested-sum": lambda n, depth: conv_fib_by_nested_sum(n, depth + 1),
     "falling-recurrence": lambda n, depth: conv_fib_row_by_recurrence(depth + 1, n)[n],
@@ -76,8 +76,6 @@ def run_bench(
     Raises :class:`CrossCheckFailure` on any disagreement.
     """
     at_least("depth", depth, 1)
-    if sizes:
-        fib(max(sizes))  # warm the Fibonacci table so timings exclude it
     for n in sizes:
         results = {name: runner(n, depth) for name, runner in VALUE_ALGORITHMS.items()}
         if len(set(results.values())) > 1:

@@ -22,7 +22,7 @@ import time
 from typing import Iterable, Optional
 
 from convfib.convolved import CoeffTriangle, conv_fib_poly, conv_fib_row
-from convfib.fibonacci import _fib_pair
+from convfib.fibonacci import fib
 from convfib.identities import IDENTITY_NAMES, run_identity
 from convfib.report import CrossCheckFailure, UsageError
 
@@ -69,9 +69,8 @@ def _table(fields: tuple[str, ...], rows: Iterable[tuple], fmt: str) -> str:
 def cmd_fib(args: argparse.Namespace) -> int:
     if args.start > args.stop:
         raise UsageError(f"--from {args.start} exceeds --to {args.stop}")
-    # two running values: the shared table would keep every F_k up to --to
     rows = []
-    a, b = _fib_pair(args.start)
+    a, b = fib(args.start), fib(args.start + 1)  # two running values
     for n in range(args.start, args.stop + 1):
         rows.append((n, a))
         a, b = b, a + b
@@ -99,10 +98,15 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _worker_count(jobs: int, tasks: int) -> int:
-    """Processes worth starting: never more than tasks or cores."""
+    """Processes worth starting: never more than tasks, or than the cores
+    this process may run on (its affinity mask, where the platform has one)."""
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    return min(jobs, tasks, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(jobs, tasks, cores)
 
 
 def _timed(run, name: str):

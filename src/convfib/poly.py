@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -38,7 +38,6 @@ def _make(nums: tuple[int, ...], den: int) -> Poly:
     p = object.__new__(Poly)
     p._nums = nums
     p._den = den
-    p._coeffs = None
     return p
 
 
@@ -120,11 +119,10 @@ class Poly:
     2
     """
 
-    __slots__ = ("_nums", "_den", "_coeffs")
+    __slots__ = ("_nums", "_den")
 
     _nums: tuple[int, ...]
     _den: int
-    _coeffs: Optional[tuple[Fraction, ...]]
 
     def __init__(self, coefficients: Iterable[Scalar] = ()):
         pairs = [_ratio(c) for c in coefficients]
@@ -132,7 +130,6 @@ class Poly:
         # Over the lcm of reduced denominators the content is already 1.
         self._nums = _trimmed([n * (den // d) for n, d in pairs])
         self._den = den if self._nums else 1
-        self._coeffs = None
 
     def __reduce__(self):
         return _make, (self._nums, self._den)
@@ -160,9 +157,7 @@ class Poly:
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
         """Monomial coefficients, lowest power first, trailing zeros trimmed."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(n, self._den) for n in self._nums)
-        return self._coeffs
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     @property
     def degree(self) -> int:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from convfib import bench, cli, fibonacci, identities
-from convfib.fibonacci import fib
+from convfib.fibonacci import fib, fib_pure
 from convfib.identities import IDENTITY_NAMES
 from convfib.report import UsageError, VerificationReport
 
@@ -31,6 +31,11 @@ def round_trips(text: str, pattern: str, kind: type) -> bool:
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
     code = cli.main(list(argv))
     return code, capsys.readouterr().out
+
+
+def allow_cores(monkeypatch, count: int) -> None:
+    """Run as if the process's affinity mask allowed ``count`` cores."""
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class TestFib:
@@ -66,31 +71,22 @@ class TestFib:
         assert re.fullmatch(r"\d{4306}", value)
         assert int(value[-18:]) == fib(20600) % 10**18
 
-    def test_range_leaves_the_shared_table_as_it_was(self, capsys):
-        bounds = fibonacci._TABLE.bounds
-        code, out = run_cli(capsys, "fib", "--from", "45000", "--to", "45001")
-        assert code == 0
-        assert fibonacci._TABLE.bounds == bounds
-        a, b = 1, 1  # F_k, F_{k+1} mod 10**18
-        for _ in range(45000):
-            a, b = b, (a + b) % 10**18
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert [(n, int(value[-18:])) for n, value in rows] == [("45000", a), ("45001", b)]
-
     @pytest.mark.parametrize("start", [9, -7])
     def test_range_is_seeded_by_one_walk(self, capsys, monkeypatch, start):
-        """(F_start, F_start+1) come from a single walk to ``--from``."""
-        walks = []
+        """The two running values start from two reads, fib(--from) and
+        fib(--from + 1); the rows after them are sums, checked against the
+        plain walk."""
+        reads = []
 
         def recording(n):
-            walks.append(n)
-            return fibonacci._fib_pair(n)
+            reads.append(n)
+            return fibonacci.fib(n)
 
-        monkeypatch.setattr(cli, "_fib_pair", recording)
+        monkeypatch.setattr(cli, "fib", recording)
         code, out = run_cli(capsys, "fib", "--from", str(start), "--to", str(start + 2))
         assert code == 0
-        assert walks == [start]
-        assert out == "n,F\n" + "".join(f"{n},{fib(n)}\n" for n in range(start, start + 3))
+        assert reads == [start, start + 1]
+        assert out == "n,F\n" + "".join(f"{n},{fib_pure(n)}\n" for n in range(start, start + 3))
 
     @pytest.mark.parametrize(
         "argv", [("fib", "--from", "0", "--to", "3"), ("fib", "--from", "3", "--to", "0")], ids=["ok", "usage-error"]
@@ -209,7 +205,7 @@ class TestVerify:
 
             return verifier
 
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        allow_cores(monkeypatch, 2)
         monkeypatch.setattr(identities, "fib_genfun_check", refuse)
         for name in IDENTITY_NAMES[1:]:
             monkeypatch.setattr(identities, f"verify_{name}", marking(name))
@@ -307,12 +303,33 @@ class TestVerify:
         assert captured.err.splitlines()[-1] == "error: internal: ValueError: bug inside a verifier"
 
     def test_worker_count_is_clamped(self, monkeypatch):
+        """Where the platform has no affinity mask, os.cpu_count() caps the workers."""
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
         assert cli._worker_count(3, 10) == 3
         assert cli._worker_count(8, 10) == 4
         assert cli._worker_count(8, 1) == 1
         with pytest.raises(ValueError):
             cli._worker_count(0, 10)
+
+    @pytest.mark.parametrize("cores", [1, 3])
+    def test_worker_count_is_capped_by_the_affinity_mask(self, monkeypatch, cores):
+        """The cores this process may run on count, not those of the host."""
+        allow_cores(monkeypatch, cores)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert cli._worker_count(8, 10) == cores
+        assert cli._worker_count(2, 10) == min(2, cores)
+        assert cli._worker_count(8, 1) == 1
+
+    def test_one_allowed_core_starts_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started on one allowed core")
+
+        allow_cores(monkeypatch, 1)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        code, out = run_cli(capsys, "verify", "all", "--jobs", "2")
+        assert code == 0
+        assert out.encode() == (GOLDEN / "verify_all.ndjson").read_bytes()
 
     def test_failure_exits_one(self, capsys, monkeypatch):
         broken = VerificationReport(

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convfib.fibonacci import FibTable, _fib_pair, fib, fib_genfun_check, fib_pure
+from convfib.fibonacci import fib, fib_genfun_check, fib_pure
 from convfib.series import Series
 
 
@@ -47,9 +50,33 @@ class TestGeneratingFunction:
 
 class TestPureFallback:
     def test_matches_table_both_directions(self):
+        """The walk against fast doubling, up and down from F_0."""
         for n in range(-30, 61):
             assert fib_pure(n) == fib(n)
-            assert _fib_pair(n) == (fib(n), fib(n + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-3000, 3000))
+    def test_fast_doubling_matches_the_walk(self, n):
+        assert fib(n) == fib_pure(n)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(-20_000, 20_000))
+    def test_three_term_recurrence_at_drawn_indices(self, n):
+        assert fib(n) == fib(n - 1) + fib(n - 2)
+
+
+class TestNoStoredValues:
+    def test_large_value_is_not_kept_once_dropped(self):
+        """fib(50_000) holds F_50000 only while the caller does."""
+        tracemalloc.start()
+        try:
+            value = fib(50_000)
+            assert value.bit_length() > 34_000
+            del value
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
 
 class TestGenfunCheck:
@@ -77,34 +104,15 @@ class TestGenfunCheck:
 
 class TestTableConcurrency:
     def test_parallel_reads_and_extensions(self):
-        """Hammer one table from several threads; values stay consistent."""
-        table = FibTable()
+        """Hammer fib from several threads: with no table to extend, every
+        read is right whatever the other threads read."""
         indexes = [n for n in range(-120, 121)] * 4
 
         def worker(n: int) -> tuple[int, int]:
-            return n, table.value(n)
+            return n, fib(n)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(worker, indexes))
+        assert [n for n, _ in results] == indexes
         for n, value in results:
             assert value == fib_pure(n)
-        lo, hi = table.bounds
-        assert lo <= -120 and hi >= 120
-
-    def test_reader_never_sees_an_index_before_its_value(self):
-        """Each store reads every index inside the bounds: the table stores
-        a value before its bound admits the index, in both directions."""
-        table = FibTable()
-        probed = []
-
-        class Probing(dict):
-            def __setitem__(self, key, value):
-                lo, hi = table.bounds
-                probed.extend((k, table.value(k)) for k in range(lo, hi + 1))
-                super().__setitem__(key, value)
-
-        table._values = Probing(table._values)
-        assert table.value(8) == fib_pure(8)
-        assert table.value(-8) == fib_pure(-8)
-        assert len(probed) > 16
-        assert all(value == fib_pure(k) for k, value in probed)

@@ -21,6 +21,8 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convfib import identities
 from convfib.convolved import CoeffTriangle, conv_fib, conv_fib_poly_genfun
@@ -79,20 +81,26 @@ PERTURBED_POWERS = [0, 5, 12, 30]
 PERTURBED_DELTAS = [1, Fraction(1, 7), Fraction(2, 3), Fraction(-1, 11)]
 
 
+def perturbed_exp(power: int, delta: Fraction) -> Callable[[Series], Series]:
+    """``Series.exp`` with the t^power coefficient of its result off by delta."""
+    exp = Series.exp
+
+    def perturbed(self: Series) -> Series:
+        coeffs = list(exp(self).coefficients)
+        coeffs[power] += delta
+        return Series(coeffs)
+
+    return perturbed
+
+
 def perturbed_reports(monkeypatch: pytest.MonkeyPatch) -> Iterator[dict]:
     """One record per (power, delta, grid): thm6 on an expansion of F built
     through t^32 with t^power off by delta.  A power beyond a grid's order
     leaves the grid's truncation exact, so that grid passes."""
-    exp = Series.exp
     for power in PERTURBED_POWERS:
         for delta in PERTURBED_DELTAS:
-            def perturbed(self: Series, power: int = power, delta: Fraction = delta) -> Series:
-                coeffs = list(exp(self).coefficients)
-                coeffs[power] += delta
-                return Series(coeffs)
-
             with cold_genfun(), monkeypatch.context() as patch:
-                patch.setattr(Series, "exp", perturbed)
+                patch.setattr(Series, "exp", perturbed_exp(power, delta))
                 conv_fib_poly_genfun(max(order for _, order in PERTURBED_GRIDS))
                 for grid in PERTURBED_GRIDS:
                     report = identities.verify_thm6(*grid).to_json_dict()
@@ -111,6 +119,27 @@ def test_mutated_reports_match_the_golden_file(monkeypatch):
 def test_thm6_perturbed_reports_match_the_golden_file(monkeypatch):
     golden = PERTURBED_GOLDEN.read_text(encoding="utf-8").splitlines()
     assert lines(monkeypatch, perturbed_reports) == golden
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 34),
+    st.fractions(-3, 3, max_denominator=12).filter(bool),
+)
+def test_thm6_reports_a_perturbed_expansion_at_n_1(power, delta):
+    """No thm6 report fails at N >= 2 above t^0.  Its N = 1 cell is the ODE
+    (1 - t - t^2) F' = x (1 + 2t) F, which fixes F through t^order from
+    F_0 = 1, so an expansion off at t^power (power <= order) first fails
+    there, at t^(power - 1) (at t^0 for power 0); an altered a_i(N) fails
+    at t^0 instead (``mutated_reports``)."""
+    with cold_genfun(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Series, "exp", perturbed_exp(power, delta))
+        conv_fib_poly_genfun(34)
+        report = identities.verify_thm6(10, 30)
+    if power > 30:
+        assert report.passed
+    else:
+        assert report.counterexample["params"] == {"N": 1, "t_power": max(power - 1, 0)}
 
 
 if __name__ == "__main__":
