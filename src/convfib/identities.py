@@ -35,10 +35,9 @@ from convfib.convolved import (
     conv_fib_poly_oracle,
     conv_fib_row,
     factorial_powers,
-    rising_factorial_poly,
 )
 from convfib.fibonacci import fib, fib_genfun_check
-from convfib.poly import Poly, _add_product
+from convfib.poly import Poly
 from convfib.report import UsageError, VerificationReport, at_least, verifier
 
 
@@ -139,22 +138,23 @@ def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
             yield {"n": n, "r": r}, rows[r + 1][n], conv_fib_by_nested_sum(n, r + 1)
 
 
-def _next_copy(u: Sequence[Sequence[int]]) -> list[list[int]]:
-    """k! [t^k] of (1+2t)^2 U / (1 - t - t^2) for every k of ``u`` =
-    [k! [t^k] U], as integer lists in x.  With A = (1+2t)^2 U and
-    (1 - t - t^2) Q = A, the step is Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2},
-    where A_k = U_k + 4k U_{k-1} + 4k(k-1) U_{k-2}; neither holds x."""
-    q: list[list[int]] = []
-    u1 = u2 = q1 = q2 = ()  # the entries at k - 1 and k - 2
-    for k, u0 in enumerate(u):
-        w = k * (k - 1)
+def _next_copy(w: Sequence[Sequence[int]], s: int) -> list[list[int]]:
+    """k! [t^k] of (x+s-1) (1+2t)^2 W / (1 - t - t^2) for every k of ``w`` =
+    [k! [t^k] W], as integer lists in x.  With A = (1+2t)^2 W and
+    (1 - t - t^2) Q = A, the x-free step is Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2},
+    where A_k = W_k + 4k W_{k-1} + 4k(k-1) W_{k-2}; each Q_k is then
+    multiplied by x+s-1."""
+    out: list[list[int]] = []
+    w1 = w2 = q1 = q2 = ()  # the entries at k - 1 and k - 2
+    for k, w0 in enumerate(w):
+        v = k * (k - 1)
         q0 = [
-            c + k * (4 * c1 + d1) + w * (4 * c2 + d2)
-            for c, c1, c2, d1, d2 in zip_longest(u0, u1, u2, q1, q2, fillvalue=0)
+            c + k * (4 * c1 + d1) + v * (4 * c2 + d2)
+            for c, c1, c2, d1, d2 in zip_longest(w0, w1, w2, q1, q2, fillvalue=0)
         ]
-        q.append(q0)
-        u1, u2, q1, q2 = u0, u1, q0, q1
-    return q
+        out.append([(s - 1) * c + lower for c, lower in zip([*q0, 0], [0, *q0])])
+        w1, w2, q1, q2 = w0, w1, q0, q1
+    return out
 
 
 @verifier("thm6")
@@ -177,9 +177,11 @@ def verify_thm6(
     The left side V_N = (1+2t)^N F^(N) starts from that expansion; by the
     product rule V_{N+1} = (1+2t) V_N' - 2N V_N, whose k-th entry is
     V_N[k+1] + 2(k-N) V_N[k].  The right side is
-    sum_i a_i(N) <x>_{N-i} U_{N-i} for U_s = (1+2t)^{2s} (1-t-t^2)^{-s} F,
-    each one :func:`_next_copy` step from the one before.  Neither step
-    holds x.  A mismatch is reported at its lowest power k of t, as the
+    sum_i a_i(N) W_{N-i}, an integer combination of the copies
+    W_s = <x>_s (1+2t)^{2s} (1-t-t^2)^{-s} F, each one :func:`_next_copy`
+    step from the one before: the x-free multiplication by
+    (1+2t)^2/(1-t-t^2), then the factor x+s-1.  No polynomial in x is
+    multiplied by another.  A mismatch is reported at its lowest power k of t, as the
     t^k coefficient of F^(N), (k+N)! [t^(k+N)] F / k!, and that less the
     difference of the products there.
     """
@@ -193,7 +195,6 @@ def verify_thm6(
     scaled = [c * factorial(k) for k, c in enumerate(conv_fib_poly_genfun(order).coefficients)]
     den = lcm(*(p._den for p in scaled))
     hurwitz = [tuple(c * (den // p._den) for c in p._nums) for p in scaled]
-    rising = [[int(c) for c in rising_factorial_poly(k).coefficients] for k in range(n_max + 1)]
 
     left, copies = hurwitz, [hurwitz]
     for n in range(n_max + 1):
@@ -203,16 +204,12 @@ def verify_thm6(
                 [c + 2 * (k - n + 1) * d for c, d in zip_longest(left[k + 1], left[k], fillvalue=0)]
                 for k in range(m + 1)
             ]
-            copies.append(_next_copy(copies[-1][: m + 1]))
-        terms = [
-            ([a * c for c in rising[n - i]], copies[n - i]) for i, a in enumerate(triangle.row(n)) if a
-        ]
+            copies.append(_next_copy(copies[-1][: m + 1], n))
+        row = triangle.row(n)
         # one cell per N; a mismatch is reported at its lowest power of t
         for k in range(m + 1):
-            right = [0] * (n + 1 + max((len(copy[k]) for _, copy in terms), default=0))
-            for factor, copy in terms:
-                _add_product(right, factor, copy[k])
-            diff = [v - r for v, r in zip_longest(left[k], right, fillvalue=0)]
+            entries = zip_longest(left[k], *(copies[n - i][k] for i in range(len(row))), fillvalue=0)
+            diff = [v - sum(map(mul, row, column)) for v, *column in entries]
             if any(diff):
                 break
         lhs, scale = hurwitz[k + n], den * factorial(k)

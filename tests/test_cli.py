@@ -497,7 +497,7 @@ def test_traced_boundaries_exist():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["code"] == 0
-    assert result["calls"]["convolved.rising_factorial_poly"] > 0
+    assert result["calls"]["identities.thm6"] == 1  # through run_identity's module global
 
 
 # A command's own modules load when it runs, not when the CLI is imported.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib import convolved, identities
+from convfib import convolved, identities, poly
 from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
@@ -102,7 +102,10 @@ class TestGridsPass:
         assert verify_thm5(12, 3).passed
 
     def test_thm6(self):
-        assert verify_thm6(7, 16).passed
+        for n_max, order in ((7, 16), (30, 90)):  # the wider grid, one cell per N
+            report = verify_thm6(n_max, order)
+            assert report.passed
+            assert report.cells == n_max + 1
 
     def test_thm7(self):
         assert verify_thm7(8, 5, range(1, 4)).passed
@@ -395,16 +398,16 @@ class TestWorkDoneOnce:
         assert [verify_thm6(7, 16), verify_thm6(7, 16, triangle=altered)] == expected
 
     def test_thm6_inverts_once_and_takes_no_power(self, monkeypatch):
-        # each copy U_s = (1+2t)^2s (1-t-t^2)^-s F is one _next_copy step from
-        # U_{s-1}, cut to order - s + 1 entries; the altered a_4(7) reads U_3
+        # each copy W_s = <x>_s (1+2t)^2s (1-t-t^2)^-s F is one _next_copy step
+        # from W_{s-1}, cut to order - s + 1 entries; the altered a_4(7) reads W_3
         # like any other entry, and no series is raised to a power or inverted
         altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
         expected = thm6_reference(7, 16, triangle=altered)
         step, lengths = identities._next_copy, []
 
-        def counted(u):
-            lengths.append(len(u))
-            return step(u)
+        def counted(w, s):
+            lengths.append(len(w))
+            return step(w, s)
 
         def refuse(*args):
             raise AssertionError("thm6 inverted a series or took a series power")
@@ -415,26 +418,32 @@ class TestWorkDoneOnce:
         assert verify_thm6(7, 16, triangle=altered) == expected
         assert lengths == [17 - s for s in range(1, 8)]  # s = 1..7
 
-    def test_thm6_multiplies_two_qx_series_once_per_n(self, monkeypatch):
-        # per N and t^k through order - N, the right side is one product per
-        # nonzero a_i(N), of a_i(N) <x>_{N-i} with U_{N-i}'s t^k entry; each
-        # N >= 1 starts with its one new copy, which starts that N's count
-        step, multiply = identities._next_copy, identities._add_product
-        per_n = [0]
+    def test_thm6_forms_no_polynomial_product(self, monkeypatch):
+        # each copy carries its rising factorial, so a cell's right side is an
+        # integer combination of the copies' t^k entries: no product of two
+        # polynomials, and no <x>_k built on its own
+        conv_fib_poly_genfun(16)  # the kept expansion, built with products
+        altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
+        expected = [thm6_reference(7, 16), thm6_reference(7, 16, triangle=altered)]
+        assert [report.status for report in expected] == ["pass", "fail"]
+        step, steps = identities._next_copy, []
 
-        def counted_step(u):
-            per_n.append(0)
-            return step(u)
+        def counted(w, s):
+            steps.append(s)
+            return step(w, s)
 
-        def counted_product(out, a, b):
-            per_n[-1] += 1
-            multiply(out, a, b)
+        def refuse(*args):
+            raise AssertionError("thm6 formed a polynomial product")
 
-        monkeypatch.setattr(identities, "_next_copy", counted_step)
-        monkeypatch.setattr(identities, "_add_product", counted_product)
-        assert verify_thm6(7, 16).passed
-        triangle = CoeffTriangle.from_recurrence(7)
-        assert per_n == [(17 - n) * sum(map(bool, triangle.row(n))) for n in range(8)]  # N = 0..7
+        monkeypatch.setattr(identities, "_next_copy", counted)
+        for module, name in (
+            (poly, "_product"), (poly, "_add_product"), (convolved, "rising_factorial_poly")
+        ):
+            monkeypatch.setattr(module, name, refuse)
+            monkeypatch.setattr(identities, name, refuse, raising=False)  # were it imported
+        assert verify_thm6(7, 16) == expected[0]
+        assert steps == list(range(1, 8))  # N = 1..7, each with s = N
+        assert verify_thm6(7, 16, triangle=altered) == expected[1]
 
     def test_one_expansion_serves_every_smaller_order(self, monkeypatch):
         exps = count_exp(monkeypatch)
@@ -578,6 +587,21 @@ class TestThm6AgainstTheSeriesForm:
         report = verify_thm6(n_max, order)
         assert report.passed
         assert report == thm6_reference(n_max, order)
+
+    def test_each_copy_against_its_definition(self):
+        # W_s, s steps of _next_copy from the kept F, against
+        # k! [t^k] <x>_s (1+2t)^2s (1-t-t^2)^-s F built by series powers over Q
+        order = 30
+        gen = conv_fib_poly_genfun(order)
+        copy = [[int(c) for c in (p * factorial(k)).coefficients] for k, p in enumerate(gen.coefficients)]
+        two_t = Series.from_polynomial((1, 2), order)
+        for s in range(1, 11):
+            copy = identities._next_copy(copy, s)
+            power = two_t ** (2 * s) * base_series(order) ** -s
+            expected = power.lift() * rising_factorial_poly(s) * gen
+            assert [Poly(entry) for entry in copy] == [
+                p * factorial(k) for k, p in enumerate(expected.coefficients)
+            ]
 
 
 class TestCrossConsistency:
