@@ -157,7 +157,7 @@ def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
 
 # -- factorial powers --------------------------------------------------------
 
-def factorial_powers(n: int, l: int) -> tuple[int, int]:
+def factorial_powers(n: int | Fraction, l: int) -> tuple[int | Fraction, int | Fraction]:
     """((n)_l, <n>_l): the falling product n(n-1)...(n-l+1) and the rising
     product n(n+1)...(n+l-1); both are 1 when l = 0.
     """
@@ -313,13 +313,10 @@ class RisingFactorialPoly:
     def evaluate_rising(self, point: int | Fraction) -> Fraction:
         """Evaluate from the rising-factorial view (no expansion)."""
         value = Fraction(point)
-        acc = Fraction(0)
-        for i, a in enumerate(self.rising):
-            term = Fraction(a)
-            for j in range(self.n - i):
-                term *= value + j
-            acc += term
-        return acc
+        return sum(
+            (a * factorial_powers(value, self.n - i)[1] for i, a in enumerate(self.rising)),
+            Fraction(0),
+        )
 
     def to_json_dict(self) -> dict[str, object]:
         return {

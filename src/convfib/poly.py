@@ -4,18 +4,20 @@ The indeterminate is written ``x`` throughout.  A polynomial is stored as
 integer numerators in the monomial basis, lowest power first, over one
 positive common denominator, in canonical form: no trailing zero
 numerators and gcd(denominator, *numerators) == 1.  The zero polynomial
-stores no numerators over denominator 1 and reports degree -1.  Sums and
-products run on plain integers and are reduced once per result, and so
-does a whole sum of products (:func:`sum_of_products`); the Fraction
-coefficients are built on demand.
+stores no numerators over denominator 1 and reports degree -1.
+
+Q[x] arithmetic has one integer kernel, :func:`sum_of_products`: a sum
+a + b is the sum of a*1 and b*1, a product a*b a sum of one term, and
+each result is reduced once.  Multiplying or dividing by a scalar scales
+the numerators and the denominator once.  The Fraction coefficients are
+built on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
 
@@ -54,41 +56,6 @@ def _reduced(nums: list[int], den: int) -> Poly:
     return _make(trimmed, den)
 
 
-def _sum(a: Poly, b: Poly) -> Poly:
-    """a + b over the lcm of the two denominators."""
-    an, bn, den = a._nums, b._nums, a._den
-    if den != b._den:
-        g = gcd(den, b._den)
-        sa, sb = b._den // g, den // g
-        an = [n * sa for n in an]
-        bn = [n * sb for n in bn]
-        den *= sa
-    if len(an) < len(bn):
-        an, bn = bn, an
-    out = list(map(add, an, bn))
-    out.extend(an[len(bn):])
-    return _reduced(out, den)
-
-
-def _add_product(out: list[int], a: Sequence[int], b: Sequence[int]) -> None:
-    """Add the schoolbook product of a and b into out, which is long enough."""
-    if len(a) > len(b):
-        a, b = b, a
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b, i):
-                out[j] += ca * cb
-
-
-def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Schoolbook product of two integer coefficient sequences."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    _add_product(out, a, b)
-    return out
-
-
 def sum_of_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
     """The canonical Poly equal to the sum of a * b over ``pairs``.
 
@@ -105,8 +72,17 @@ def sum_of_products(pairs: Iterable[tuple[Poly, Poly]]) -> Poly:
         if len(an) > len(bn):
             an, bn = bn, an
         scale = den // (a._den * b._den)
-        _add_product(out, [n * scale for n in an] if scale != 1 else an, bn)
+        for i, ca in enumerate(an):
+            if ca:
+                ca *= scale
+                for j, cb in enumerate(bn, i):
+                    out[j] += ca * cb
     return _reduced(out, den)
+
+
+def _scaled(p: Poly, c: Scalar) -> Poly:
+    """p * c for an int or a Fraction c."""
+    return _reduced([n * c.numerator for n in p._nums], p._den * c.denominator)
 
 
 class Poly:
@@ -189,7 +165,7 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return _sum(self, other)
+        return sum_of_products([(self, _ONE), (other, _ONE)])
 
     __radd__ = __add__
 
@@ -206,11 +182,10 @@ class Poly:
 
     def __mul__(self, other: Poly | Scalar) -> Poly:
         if isinstance(other, (int, Fraction)):
-            num = other.numerator
-            return _reduced([n * num for n in self._nums], self._den * other.denominator)
+            return _scaled(self, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return _reduced(_product(self._nums, other._nums), self._den * other._den)
+        return sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
@@ -219,10 +194,7 @@ class Poly:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        num, den = other.numerator, other.denominator
-        if num < 0:
-            num, den = -num, -den
-        return _reduced([n * den for n in self._nums], self._den * num)
+        return _scaled(self, 1 / Fraction(other))
 
     # -- comparison / display -------------------------------------------
 
@@ -285,3 +257,6 @@ class Poly:
         return Fraction(acc, self._den * q ** self.degree)
 
     __call__ = evaluate
+
+
+_ONE = _make((1,), 1)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib import convolved, identities, poly
+from convfib import convolved, identities, poly, series
 from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
@@ -420,8 +420,9 @@ class TestWorkDoneOnce:
 
     def test_thm6_forms_no_polynomial_product(self, monkeypatch):
         # each copy carries its rising factorial, so a cell's right side is an
-        # integer combination of the copies' t^k entries: no product of two
-        # polynomials, and no <x>_k built on its own
+        # integer combination of the copies' t^k entries: no product or sum
+        # of two polynomials, and no <x>_k built on its own.  Every Poly
+        # + and * runs on sum_of_products, so refusing it refuses them all.
         conv_fib_poly_genfun(16)  # the kept expansion, built with products
         altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
         expected = [thm6_reference(7, 16), thm6_reference(7, 16, triangle=altered)]
@@ -437,7 +438,8 @@ class TestWorkDoneOnce:
 
         monkeypatch.setattr(identities, "_next_copy", counted)
         for module, name in (
-            (poly, "_product"), (poly, "_add_product"), (convolved, "rising_factorial_poly")
+            (poly, "sum_of_products"), (series, "sum_of_products"),
+            (convolved, "rising_factorial_poly"),
         ):
             monkeypatch.setattr(module, name, refuse)
             monkeypatch.setattr(identities, name, refuse, raising=False)  # were it imported
