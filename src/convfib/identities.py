@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import inspect
 from itertools import zip_longest
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,7 +37,7 @@ from convfib.convolved import (
     factorial_powers,
 )
 from convfib.fibonacci import fib, fib_genfun_check
-from convfib.poly import Poly
+from convfib.poly import _reduced
 from convfib.report import UsageError, VerificationReport, at_least, verifier
 
 
@@ -138,23 +138,59 @@ def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
             yield {"n": n, "r": r}, rows[r + 1][n], conv_fib_by_nested_sum(n, r + 1)
 
 
-def _next_copy(w: Sequence[Sequence[int]], s: int) -> list[list[int]]:
+def _pack(coefficients: Sequence[int], shift: int) -> int:
+    """The integer polynomial with these coefficients, lowest power first,
+    at x = 2^shift."""
+    value = 0
+    for c in reversed(coefficients):
+        value = (value << shift) + c
+    return value
+
+
+def _unpack(value: int, shift: int) -> list[int]:
+    """The coefficients, lowest power first, without trailing zeros, of the
+    integer polynomial whose value at x = 2^shift is ``value``, as balanced
+    digits in [-2^(shift-1), 2^(shift-1)): :func:`_pack`'s inverse there."""
+    half, digits = 1 << (shift - 1), []
+    while value:
+        digit = ((value + half) & ((half << 1) - 1)) - half
+        digits.append(digit)
+        value = (value - digit) >> shift
+    return digits
+
+
+def _next_copy(w: Sequence[int], s: int, shift: int) -> list[int]:
     """k! [t^k] of (x+s-1) (1+2t)^2 W / (1 - t - t^2) for every k of ``w`` =
-    [k! [t^k] W], as integer lists in x.  With A = (1+2t)^2 W and
-    (1 - t - t^2) Q = A, the x-free step is Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2},
-    where A_k = W_k + 4k W_{k-1} + 4k(k-1) W_{k-2}; each Q_k is then
-    multiplied by x+s-1."""
-    out: list[list[int]] = []
-    w1 = w2 = q1 = q2 = ()  # the entries at k - 1 and k - 2
+    [k! [t^k] W], each entry a polynomial in x held as its value at
+    x = 2^shift.  With A = (1+2t)^2 W and (1 - t - t^2) Q = A, the x-free
+    step is Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2}, where
+    A_k = W_k + 4k W_{k-1} + 4k(k-1) W_{k-2}; each Q_k is then multiplied
+    by x+s-1.  Every weight is >= 0, so at shift 0, where x+s-1 is s, the
+    step maps l1 norms of the entries' coefficients to bounds on them."""
+    out: list[int] = []
+    w1 = w2 = q1 = q2 = 0  # the entries at k - 1 and k - 2
     for k, w0 in enumerate(w):
-        v = k * (k - 1)
-        q0 = [
-            c + k * (4 * c1 + d1) + v * (4 * c2 + d2)
-            for c, c1, c2, d1, d2 in zip_longest(w0, w1, w2, q1, q2, fillvalue=0)
-        ]
-        out.append([(s - 1) * c + lower for c, lower in zip([*q0, 0], [0, *q0])])
+        q0 = w0 + k * (4 * w1 + q1) + k * (k - 1) * (4 * w2 + q2)
+        out.append((q0 << shift) + (s - 1) * q0)
         w1, w2, q1, q2 = w0, w1, q0, q1
     return out
+
+
+def _thm6_shift(hurwitz: list[list[int]], n_max: int, triangle: CoeffTriangle) -> int:
+    """B for thm6's packing: the bit length, plus one, of a bound on every
+    coefficient of every difference it tests.  The left and copy steps run
+    with absolute weights on the l1 norms of the entries k! [t^k] F in
+    ``hurwitz``, so every entry of V_N and W_s has l1 norm at most the
+    largest value reached, L, and V_N[k] - sum_i a_i(N) W_{N-i}[k] at most
+    L (1 + max_N sum_i |a_i(N)|)."""
+    norms = [sum(map(abs, h)) for h in hurwitz]
+    order, left, copy, largest = len(norms) - 1, norms, norms, max(norms)
+    for n in range(1, n_max + 1):
+        left = [left[k + 1] + 2 * abs(k - n + 1) * left[k] for k in range(order - n + 1)]
+        copy = _next_copy(copy[: order - n + 1], n, 0)
+        largest = max(largest, *left, *copy)
+    weight = 1 + max(sum(map(abs, triangle.row(n))) for n in range(n_max + 1))
+    return (largest * weight).bit_length() + 1
 
 
 @verifier("thm6")
@@ -171,9 +207,13 @@ def verify_thm6(
     exactly through order - N, for every N <= n_max.  Both sides are
     checked times (1+2t)^N, whose constant term is 1, so the products first
     differ where the sides do, by the same amount.  Every series in t is
-    held as its k! [t^k] coefficients, integer lists in x over one common
-    denominator, which clears whatever denominators the expansion of F
-    that :func:`~convfib.convolved.conv_fib_poly_genfun` keeps may hold.
+    held as its k! [t^k] coefficients, polynomials in x with integer
+    coefficients over one common denominator, which clears whatever
+    denominators the expansion of F that
+    :func:`~convfib.convolved.conv_fib_poly_genfun` keeps may hold.  Each
+    such polynomial is held as one integer, its value at x = 2^B, with B
+    from :func:`_thm6_shift`, so that every difference the check tests is
+    0 exactly when its packed value is.
     The left side V_N = (1+2t)^N F^(N) starts from that expansion; by the
     product rule V_{N+1} = (1+2t) V_N' - 2N V_N, whose k-th entry is
     V_N[k+1] + 2(k-N) V_N[k].  The right side is
@@ -183,38 +223,41 @@ def verify_thm6(
     (1+2t)^2/(1-t-t^2), then the factor x+s-1.  No polynomial in x is
     multiplied by another.  A mismatch is reported at its lowest power k of t, as the
     t^k coefficient of F^(N), (k+N)! [t^(k+N)] F / k!, and that less the
-    difference of the products there.
+    difference of the products there, the one entry that is unpacked.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
 
-    # k! [t^k] F = p_k(x) for k <= order, numerators over the common denominator,
-    # read from each Poly's canonical integer numerators and denominator
-    scaled = [c * factorial(k) for k, c in enumerate(conv_fib_poly_genfun(order).coefficients)]
-    den = lcm(*(p._den for p in scaled))
-    hurwitz = [tuple(c * (den // p._den) for c in p._nums) for p in scaled]
+    # k! [t^k] F = p_k(x) for k <= order, integer numerators over the common
+    # denominator, read from the canonical numerators and denominator of each p_k(x)/k!
+    coefficients = conv_fib_poly_genfun(order).coefficients
+    den = lcm(*(p._den // gcd(p._den, factorial(k)) for k, p in enumerate(coefficients)))
+    hurwitz = [
+        [c * (factorial(k) * den // p._den) for c in p._nums] for k, p in enumerate(coefficients)
+    ]
+    shift = _thm6_shift(hurwitz, n_max, triangle)
 
-    left, copies = hurwitz, [hurwitz]
+    left = [_pack(h, shift) for h in hurwitz]
+    copies = [left]
     for n in range(n_max + 1):
         m = order - n
         if n:
-            left = [
-                [c + 2 * (k - n + 1) * d for c, d in zip_longest(left[k + 1], left[k], fillvalue=0)]
-                for k in range(m + 1)
-            ]
-            copies.append(_next_copy(copies[-1][: m + 1], n))
+            left = [left[k + 1] + 2 * (k - n + 1) * left[k] for k in range(m + 1)]
+            copies.append(_next_copy(copies[-1][: m + 1], n, shift))
         row = triangle.row(n)
         # one cell per N; a mismatch is reported at its lowest power of t
-        for k in range(m + 1):
-            entries = zip_longest(left[k], *(copies[n - i][k] for i in range(len(row))), fillvalue=0)
-            diff = [v - sum(map(mul, row, column)) for v, *column in entries]
-            if any(diff):
+        for k, (v, *column) in enumerate(zip(left, *copies[n::-1][: len(row)])):
+            diff = v - sum(map(mul, row, column))
+            if diff:
                 break
-        lhs, scale = hurwitz[k + n], den * factorial(k)
-        rhs = [c - d for c, d in zip_longest(lhs, diff, fillvalue=0)]
-        yield {"N": n, "t_power": k}, Poly(lhs) / scale, Poly(rhs) / scale
+        nums, scale = hurwitz[k + n], den * factorial(k)
+        lhs = rhs = _reduced(list(nums), scale)
+        if diff:
+            rhs = [c - d for c, d in zip_longest(nums, _unpack(diff, shift), fillvalue=0)]
+            rhs = _reduced(rhs, scale)
+        yield {"N": n, "t_power": k}, lhs, rhs
 
 
 @verifier("thm7")

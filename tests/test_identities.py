@@ -47,6 +47,7 @@ from convfib.poly import Poly
 from convfib.report import UsageError, verifier
 from convfib.series import Series
 from test_convolved import cold_genfun, count_exp
+from test_golden_reports import perturbed_exp
 
 
 @verifier("thm6")
@@ -322,10 +323,10 @@ class TestSharedRowCode:
 class TestWorkDoneOnce:
     """Each verifier does its arithmetic once: value rows are read once
     per grid, and F_l once per grid.  Integer work stays on plain integers:
-    thm6 holds every series as n!-scaled integer lists and runs no series
-    arithmetic, makes each copy U_s of F from the one before, and forms one
-    product per triangle entry and power of t; p_N(x)'s Horner expansion
-    multiplies no Poly.  The generating function is expanded once per rise
+    thm6 holds every series as n!-scaled polynomials in x, each packed into
+    one integer, runs no series arithmetic, makes each copy W_s of F from
+    the one before, and forms no polynomial product; p_N(x)'s Horner
+    expansion multiplies no Poly.  The generating function is expanded once per rise
     in the largest order asked for.  Each test starts from no kept expansion, so what it counts
     does not depend on the tests before it."""
 
@@ -403,11 +404,11 @@ class TestWorkDoneOnce:
         # like any other entry, and no series is raised to a power or inverted
         altered = CoeffTriangle.from_recurrence(7).with_entry(7, 4, 1)
         expected = thm6_reference(7, 16, triangle=altered)
-        step, lengths = identities._next_copy, []
+        step, calls = identities._next_copy, []
 
-        def counted(w, s):
-            lengths.append(len(w))
-            return step(w, s)
+        def counted(w, s, shift):
+            calls.append((len(w), s, shift))
+            return step(w, s, shift)
 
         def refuse(*args):
             raise AssertionError("thm6 inverted a series or took a series power")
@@ -416,7 +417,12 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(Series, "inverse", refuse)
         monkeypatch.setattr(Series, "__pow__", refuse)
         assert verify_thm6(7, 16, triangle=altered) == expected
-        assert lengths == [17 - s for s in range(1, 8)]  # s = 1..7
+        # one packed step per s = 1..7, all at one shift B >= 1, and apart
+        # from them the bound run's steps on the l1 norms, at shift 0
+        packed = [(length, s) for length, s, shift in calls if shift]
+        bound = [(length, s) for length, s, shift in calls if not shift]
+        assert packed == bound == [(17 - s, s) for s in range(1, 8)]
+        assert len({shift for _, _, shift in calls if shift}) == 1
 
     def test_thm6_forms_no_polynomial_product(self, monkeypatch):
         # each copy carries its rising factorial, so a cell's right side is an
@@ -429,9 +435,9 @@ class TestWorkDoneOnce:
         assert [report.status for report in expected] == ["pass", "fail"]
         step, steps = identities._next_copy, []
 
-        def counted(w, s):
-            steps.append(s)
-            return step(w, s)
+        def counted(w, s, shift):
+            steps.append((s, shift))
+            return step(w, s, shift)
 
         def refuse(*args):
             raise AssertionError("thm6 formed a polynomial product")
@@ -444,7 +450,9 @@ class TestWorkDoneOnce:
             monkeypatch.setattr(module, name, refuse)
             monkeypatch.setattr(identities, name, refuse, raising=False)  # were it imported
         assert verify_thm6(7, 16) == expected[0]
-        assert steps == list(range(1, 8))  # N = 1..7, each with s = N
+        # N = 1..7, each with s = N: one packed step, and one step of the bound run at shift 0
+        assert [s for s, shift in steps if shift] == list(range(1, 8))
+        assert [s for s, shift in steps if not shift] == list(range(1, 8))
         assert verify_thm6(7, 16, triangle=altered) == expected[1]
 
     def test_one_expansion_serves_every_smaller_order(self, monkeypatch):
@@ -560,7 +568,7 @@ class TestMutationSensitivity:
 
 
 class TestThm6AgainstTheSeriesForm:
-    """verify_thm6, on n!-scaled integer lists, gives the reports of
+    """verify_thm6, on packed n!-scaled entries, gives the reports of
     thm6_reference, the same check on Series over Q[x]."""
 
     @settings(max_examples=40, deadline=None)
@@ -591,19 +599,71 @@ class TestThm6AgainstTheSeriesForm:
         assert report == thm6_reference(n_max, order)
 
     def test_each_copy_against_its_definition(self):
-        # W_s, s steps of _next_copy from the kept F, against
-        # k! [t^k] <x>_s (1+2t)^2s (1-t-t^2)^-s F built by series powers over Q
-        order = 30
+        # W_s, s steps of _next_copy from the kept F on packed entries, unpacked
+        # against k! [t^k] <x>_s (1+2t)^2s (1-t-t^2)^-s F built by series powers over Q
+        order, n_max = 30, 10
         gen = conv_fib_poly_genfun(order)
-        copy = [[int(c) for c in (p * factorial(k)).coefficients] for k, p in enumerate(gen.coefficients)]
+        hurwitz = [[int(c) for c in (p * factorial(k)).coefficients] for k, p in enumerate(gen.coefficients)]
         two_t = Series.from_polynomial((1, 2), order)
-        for s in range(1, 11):
-            copy = identities._next_copy(copy, s)
+        expected = []  # [k! [t^k] W_s for every k], as coefficient lists, for s = 1..n_max
+        for s in range(1, n_max + 1):
             power = two_t ** (2 * s) * base_series(order) ** -s
-            expected = power.lift() * rising_factorial_poly(s) * gen
-            assert [Poly(entry) for entry in copy] == [
-                p * factorial(k) for k, p in enumerate(expected.coefficients)
-            ]
+            w = power.lift() * rising_factorial_poly(s) * gen
+            expected.append(
+                [[int(c * factorial(k)) for c in p.coefficients] for k, p in enumerate(w.coefficients)]
+            )
+        # verify_thm6's B holds every coefficient of the entries it reads, k <= order - s
+        shift = identities._thm6_shift(hurwitz, n_max, CoeffTriangle.from_recurrence(n_max))
+        for s, w in enumerate(expected, 1):
+            assert max(abs(c) for entry in w[: order - s + 1] for c in entry) < 2 ** (shift - 1)
+        # every entry, through t^order, at a B that holds them all
+        wide = 1 + max(abs(c).bit_length() for w in expected for entry in w for c in entry)
+        copy = [identities._pack(h, wide) for h in hurwitz]
+        for s in range(1, n_max + 1):
+            copy = identities._next_copy(copy, s, wide)
+            assert [identities._unpack(entry, wide) for entry in copy] == expected[s - 1]
+
+    @pytest.mark.parametrize("n,i,delta", [
+        (0, 0, 10**60), (3, 1, -(10**60)), (6, 2, 10**75 + 1), (7, 4, -(10**61)), (8, 3, 3 * 10**80),
+    ])
+    def test_huge_altered_entry(self, n, i, delta):
+        # a difference can be far larger than any entry: a_i(N) off by delta
+        # changes it by delta W_{N-i}, so B must count max_N sum_i |a_i(N)|;
+        # the altered row is read inside the grid and as its last row
+        triangle = CoeffTriangle.from_recurrence(8)
+        altered = triangle.with_entry(n, i, triangle.entry(n, i) + delta)
+        for grid in ((8, 24), (n, 3 * n)):
+            report = verify_thm6(*grid, triangle=altered)
+            assert report.counterexample["params"] == {"N": n, "t_power": 0}
+            assert report == thm6_reference(*grid, triangle=altered)
+
+    @pytest.mark.parametrize("delta", [-(10**60), Fraction(-(10**70), 7)])
+    def test_huge_negative_perturbation(self, delta):
+        # an expansion with t^5 off by a huge negative amount: the l1 norms add
+        # the numerators' absolute values; their signed sum would be hugely
+        # negative here, and B too small for the difference at N = 1
+        with cold_genfun(), patch.object(Series, "exp", perturbed_exp(5, delta)):
+            conv_fib_poly_genfun(30)
+            report = verify_thm6(10, 30)
+            assert report.counterexample["params"] == {"N": 1, "t_power": 4}
+            assert report == thm6_reference(10, 30)
+
+
+class TestPacking:
+    """thm6's packing: a polynomial in x with integer coefficients as its
+    value at x = 2^B, read back as balanced base-2^B digits."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shift=st.integers(1, 100), data=st.data())
+    def test_unpack_inverts_pack(self, shift, data):
+        half = 1 << (shift - 1)
+        digit = st.one_of(st.sampled_from([-half, half - 1]), st.integers(-half, half - 1))
+        coefficients = data.draw(st.lists(digit, max_size=12), label="coefficients")
+        trimmed = list(coefficients)
+        while trimmed and not trimmed[-1]:
+            trimmed.pop()
+        assert identities._unpack(identities._pack(coefficients, shift), shift) == trimmed
+        assert identities._unpack(0, shift) == []
 
 
 class TestCrossConsistency:
