@@ -19,7 +19,8 @@ verifier by name and applies overrides on top of those defaults.
 from __future__ import annotations
 
 import inspect
-from itertools import zip_longest
+from collections import deque
+from itertools import islice, zip_longest
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -28,6 +29,7 @@ from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
     _falling_step,
+    _width,
     conv_fib,
     conv_fib_by_nested_sum,
     conv_fib_poly,
@@ -161,12 +163,9 @@ def _unpack(value: int, shift: int) -> list[int]:
 
 def _next_copy(w: Sequence[int], s: int, shift: int) -> list[int]:
     """k! [t^k] of (x+s-1) (1+2t)^2 W / (1 - t - t^2) for every k of ``w`` =
-    [k! [t^k] W], each entry a polynomial in x held as its value at
-    x = 2^shift.  With A = (1+2t)^2 W and (1 - t - t^2) Q = A, the x-free
-    step is Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2}, where
-    A_k = W_k + 4k W_{k-1} + 4k(k-1) W_{k-2}; each Q_k is then multiplied
-    by x+s-1.  Every weight is >= 0, so at shift 0, where x+s-1 is s, the
-    step maps l1 norms of the entries' coefficients to bounds on them."""
+    [k! [t^k] W], entries held at x = 2^shift: with A = (1+2t)^2 W and
+    (1 - t - t^2) Q = A, Q_k = A_k + k Q_{k-1} + k(k-1) Q_{k-2}, where
+    A_k = W_k + 4k W_{k-1} + 4k(k-1) W_{k-2}, and Q_k times x+s-1."""
     out: list[int] = []
     w1 = w2 = q1 = q2 = 0  # the entries at k - 1 and k - 2
     for k, w0 in enumerate(w):
@@ -176,19 +175,32 @@ def _next_copy(w: Sequence[int], s: int, shift: int) -> list[int]:
     return out
 
 
+def _walk(entries: list[int], n_max: int, shift: int) -> Iterator[tuple[list[int], deque]]:
+    """For N = 0 .. n_max, V_N and the copies W_N, W_{N-1}, ... that row N
+    reads, newest first, from ``entries`` = [k! [t^k] F] at x = 2^shift:
+    V_{N+1} = (1+2t) V_N' - 2N V_N, so V_{N+1}[k] = V_N[k+1] + 2(k-N) V_N[k],
+    and W_N is one :func:`_next_copy` step from W_{N-1}.  Row N reads
+    _width(N) copies, so the _width(n_max) newest hold all that rows read."""
+    left, copies = entries, deque([entries], maxlen=_width(n_max))
+    for n in range(n_max + 1):
+        if n:
+            left = [left[k + 1] + 2 * (k - n + 1) * left[k] for k in range(len(left) - 1)]
+            copies.appendleft(_next_copy(copies[0][: len(left)], n, shift))
+        yield left, copies
+
+
 def _thm6_shift(hurwitz: list[list[int]], n_max: int, triangle: CoeffTriangle) -> int:
     """B for thm6's packing: the bit length, plus one, of a bound on every
-    coefficient of every difference it tests.  The left and copy steps run
-    with absolute weights on the l1 norms of the entries k! [t^k] F in
-    ``hurwitz``, so every entry of V_N and W_s has l1 norm at most the
-    largest value reached, L, and V_N[k] - sum_i a_i(N) W_{N-i}[k] at most
-    L (1 + max_N sum_i |a_i(N)|)."""
-    norms = [sum(map(abs, h)) for h in hurwitz]
-    order, left, copy, largest = len(norms) - 1, norms, norms, max(norms)
-    for n in range(1, n_max + 1):
-        left = [left[k + 1] + 2 * abs(k - n + 1) * left[k] for k in range(order - n + 1)]
-        copy = _next_copy(copy[: order - n + 1], n, 0)
-        largest = max(largest, *left, *copy)
+    coefficient of every difference it tests.  Unrolled, V_N[k] is
+    sum_j (k)_j C(N,j) 2^j F[N+k-j] in the entries F[m] = m! [t^m] F, and a
+    copy step only adds and multiplies by k, k(k-1), 4 and x+s-1, so every
+    entry of V_N and W_s is a sum of entries of F with weights that have no
+    negative coefficient in x.  The same :func:`_walk` at x = 1 (shift 0)
+    on the l1 norms of the entries in ``hurwitz`` therefore bounds every
+    entry's l1 norm by the largest value it reaches, L, and
+    V_N[k] - sum_i a_i(N) W_{N-i}[k] by L (1 + max_N sum_i |a_i(N)|)."""
+    walk = _walk([sum(map(abs, h)) for h in hurwitz], n_max, 0)
+    largest = max(max(*left, *copies[0]) for left, copies in walk)
     weight = 1 + max(sum(map(abs, triangle.row(n))) for n in range(n_max + 1))
     return (largest * weight).bit_length() + 1
 
@@ -207,31 +219,24 @@ def verify_thm6(
     exactly through order - N, for every N <= n_max.  Both sides are
     checked times (1+2t)^N, whose constant term is 1, so the products first
     differ where the sides do, by the same amount.  Every series in t is
-    held as its k! [t^k] coefficients, polynomials in x with integer
-    coefficients over one common denominator, which clears whatever
-    denominators the expansion of F that
-    :func:`~convfib.convolved.conv_fib_poly_genfun` keeps may hold.  Each
-    such polynomial is held as one integer, its value at x = 2^B, with B
-    from :func:`_thm6_shift`, so that every difference the check tests is
-    0 exactly when its packed value is.
-    The left side V_N = (1+2t)^N F^(N) starts from that expansion; by the
-    product rule V_{N+1} = (1+2t) V_N' - 2N V_N, whose k-th entry is
-    V_N[k+1] + 2(k-N) V_N[k].  The right side is
-    sum_i a_i(N) W_{N-i}, an integer combination of the copies
-    W_s = <x>_s (1+2t)^{2s} (1-t-t^2)^{-s} F, each one :func:`_next_copy`
-    step from the one before: the x-free multiplication by
-    (1+2t)^2/(1-t-t^2), then the factor x+s-1.  No polynomial in x is
-    multiplied by another.  A mismatch is reported at its lowest power k of t, as the
-    t^k coefficient of F^(N), (k+N)! [t^(k+N)] F / k!, and that less the
-    difference of the products there, the one entry that is unpacked.
+    held as its k! [t^k] coefficients: polynomials in x with integer
+    coefficients over one common denominator (which clears those of the
+    expansion of F that :func:`~convfib.convolved.conv_fib_poly_genfun`
+    keeps), each packed into its value at x = 2^B, with B from
+    :func:`_thm6_shift`.  :func:`_walk` gives the left side
+    V_N = (1+2t)^N F^(N) and the copies W_s = <x>_s (1+2t)^{2s}
+    (1-t-t^2)^{-s} F, and the right side is sum_i a_i(N) W_{N-i}, so no
+    polynomial in x is multiplied by another.  A mismatch is reported at
+    its lowest power k of t, as the t^k coefficient of F^(N),
+    (k+N)! [t^(k+N)] F / k!, and that less the difference of the products
+    there, the one entry that is unpacked.
     """
     if order < n_max:
         raise TruncationTooShort(f"need order >= {n_max}, got {order}")
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
 
-    # k! [t^k] F = p_k(x) for k <= order, integer numerators over the common
-    # denominator, read from the canonical numerators and denominator of each p_k(x)/k!
+    # k! [t^k] F = p_k(x), k <= order, as integer numerators over one common denominator
     coefficients = conv_fib_poly_genfun(order).coefficients
     den = lcm(*(p._den // gcd(p._den, factorial(k)) for k, p in enumerate(coefficients)))
     hurwitz = [
@@ -239,16 +244,10 @@ def verify_thm6(
     ]
     shift = _thm6_shift(hurwitz, n_max, triangle)
 
-    left = [_pack(h, shift) for h in hurwitz]
-    copies = [left]
-    for n in range(n_max + 1):
-        m = order - n
-        if n:
-            left = [left[k + 1] + 2 * (k - n + 1) * left[k] for k in range(m + 1)]
-            copies.append(_next_copy(copies[-1][: m + 1], n, shift))
+    for n, (left, copies) in enumerate(_walk([_pack(h, shift) for h in hurwitz], n_max, shift)):
         row = triangle.row(n)
         # one cell per N; a mismatch is reported at its lowest power of t
-        for k, (v, *column) in enumerate(zip(left, *copies[n::-1][: len(row)])):
+        for k, (v, *column) in enumerate(zip(left, *islice(copies, len(row)))):
             diff = v - sum(map(mul, row, column))
             if diff:
                 break
@@ -281,7 +280,7 @@ def verify_thm7(
     if not x_values:
         return  # no cells, so no factors to build
     rising = {x: [factorial_powers(x, m)[1] for m in range(n_max + 1)] for x in x_values}
-    values, inner = _Rows(k_max + n_max), _Rows(k_max)
+    rows = _Rows(k_max + n_max)
     for k in range(k_max + 1):
         scaled = [comb(k, l) * 2**l for l in range(k + 1)]
         for n in range(n_max + 1):
@@ -289,13 +288,13 @@ def verify_thm7(
                 rhs = 0
                 for i, a in enumerate(triangle.row(n)):
                     outer = a * rising[x][n - i]
-                    row = inner[x + n - i]
+                    row = rows[x + n - i]
                     falling = 1  # (N-2i)_l, one factor more per term
                     for l in range(k + 1):
                         if l:
                             falling *= n - 2 * i - l + 1
                         rhs += scaled[l] * falling * outer * row[k - l]
-                yield {"k": k, "N": n, "x": x}, values[x][k + n], rhs
+                yield {"k": k, "N": n, "x": x}, rows[x][k + n], rhs
 
 
 @verifier("cor8")

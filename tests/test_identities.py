@@ -7,7 +7,7 @@ import functools
 import inspect
 from fractions import Fraction
 from math import comb, factorial
-from operator import add
+from operator import add, mul
 from typing import Optional
 from unittest.mock import patch
 
@@ -366,9 +366,9 @@ class TestWorkDoneOnce:
         ("cor4", 7 * 61),
         # n <= 25: left sides at r + 1 = 2..5
         ("thm5", 4 * 26),
-        # left sides at x = 1..5 through k + N = 28; right sides at
-        # x + N - i = 1..13 through k = 20
-        ("thm7", 5 * 29 + 13 * 21),
+        # one row per argument through k + N = 28: left sides at x = 1..5,
+        # right sides at x + N - i = 1..13
+        ("thm7", 13 * 29),
         # N <= 40 at x = -5..10
         ("cor8", 16 * 41),
         # N <= 50 at x = 1
@@ -637,6 +637,20 @@ class TestThm6AgainstTheSeriesForm:
             assert report.counterexample["params"] == {"N": n, "t_power": 0}
             assert report == thm6_reference(*grid, triangle=altered)
 
+    @pytest.mark.parametrize("n_max", [7, 8, 9])
+    def test_last_entry_of_a_row_reads_the_oldest_copy_held(self, n_max):
+        # row N reads W_N .. W_{N-i} for i < _width(N), and the walk holds no
+        # more copies than row n_max reads; its last entry multiplies the
+        # oldest of them, and for odd n_max it lies on the zero diagonal
+        width, order = convolved._width(n_max), 2 * n_max
+        walk = identities._walk(list(range(order + 1)), n_max, 1)
+        assert [len(copies) for _, copies in walk] == [min(n + 1, width) for n in range(n_max + 1)]
+        triangle = CoeffTriangle.from_recurrence(n_max)
+        altered = triangle.with_entry(n_max, width - 1, triangle.entry(n_max, width - 1) + 1)
+        report = verify_thm6(n_max, order, triangle=altered)
+        assert report.counterexample["params"] == {"N": n_max, "t_power": 0}
+        assert report == thm6_reference(n_max, order, triangle=altered)
+
     @pytest.mark.parametrize("delta", [-(10**60), Fraction(-(10**70), 7)])
     def test_huge_negative_perturbation(self, delta):
         # an expansion with t^5 off by a huge negative amount: the l1 norms add
@@ -664,6 +678,36 @@ class TestPacking:
             trimmed.pop()
         assert identities._unpack(identities._pack(coefficients, shift), shift) == trimmed
         assert identities._unpack(0, shift) == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_shift_bounds_every_coefficient_of_the_walk(self, data):
+        # _thm6_shift's B on arbitrary signed entries and triangle rows: every
+        # entry of V_N and W_s, and every V_N[k] - sum_i a_i(N) W_{N-i}[k],
+        # from the walk at a shift far above B, has coefficients in
+        # (-2^(B-1), 2^(B-1))
+        order = data.draw(st.integers(0, 10), label="order")
+        n_max = data.draw(st.integers(0, order), label="n_max")
+        coefficient = st.integers(-50, 50)
+        entries = [
+            data.draw(st.lists(coefficient, min_size=1, max_size=k + 2), label=f"entry {k}")
+            for k in range(order + 1)
+        ]
+        widths = [convolved._width(n) for n in range(n_max + 1)]
+        rows = [
+            data.draw(st.lists(coefficient, min_size=w, max_size=w), label=f"row {n}")
+            for n, w in enumerate(widths)
+        ]
+        triangle = CoeffTriangle(tuple(map(tuple, rows)))
+        shift = identities._thm6_shift(entries, n_max, triangle)
+        wide = 2 * shift + 64
+        reached = []
+        walk = identities._walk([identities._pack(e, wide) for e in entries], n_max, wide)
+        for row, (left, copies) in zip(rows, walk):
+            reached += left + copies[0]  # each copy is newest at one N
+            reached += [v - sum(map(mul, row, column)) for v, *column in zip(left, *copies)]
+        half = 1 << (shift - 1)
+        assert all(-half < c < half for value in reached for c in identities._unpack(value, wide))
 
 
 class TestCrossConsistency:
