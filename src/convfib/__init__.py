@@ -18,15 +18,15 @@ from convfib.convolved import (
     conv_fib_poly_oracle,
     conv_fib_row,
     conv_fib_row_by_recurrence,
-    conv_fib_row_holonomic,
     factorial_powers,
     rising_factorial_poly,
     triangle_closed,
     triangle_recurrence,
 )
-from convfib.fibonacci import fib, fib_genfun_check, fib_pure
+from convfib.fibonacci import fib, fib_pure
 from convfib.identities import (
     IDENTITY_NAMES,
+    fib_genfun_check,
     run_identity,
     verify_cor2,
     verify_cor4,
@@ -64,7 +64,6 @@ __all__ = [
     "conv_fib_poly_oracle",
     "conv_fib_row",
     "conv_fib_row_by_recurrence",
-    "conv_fib_row_holonomic",
     "factorial_powers",
     "fib",
     "fib_genfun_check",

@@ -17,21 +17,22 @@ from typing import Callable
 
 from convfib.convolved import (
     CoeffTriangle,
+    _extend_holonomic,
     conv_fib_by_nested_sum,
     conv_fib_row,
     conv_fib_row_by_recurrence,
-    conv_fib_row_holonomic,
 )
 from convfib.report import CrossCheckFailure, at_least
 
 # Each value runner computes p_n(depth + 1) from scratch; none reads the
-# conv_fib cache, and the times of nested-sum and falling-recurrence include
-# reading F_0 .. F_n.  Runners name module globals, looked up at call time.
+# conv_fib cache, though holonomic runs its step on a fresh row.  The times of
+# nested-sum and falling-recurrence include reading F_0 .. F_n.  Runners name
+# module globals, looked up at call time.
 VALUE_ALGORITHMS: dict[str, Callable[[int, int], int]] = {
     "nested-sum": lambda n, depth: conv_fib_by_nested_sum(n, depth + 1),
     "falling-recurrence": lambda n, depth: conv_fib_row_by_recurrence(depth + 1, n)[n],
     "series-power": lambda n, depth: conv_fib_row(depth + 1, n)[n],
-    "holonomic": lambda n, depth: conv_fib_row_holonomic(depth + 1, n)[n],
+    "holonomic": lambda n, depth: _extend_holonomic([1, depth + 1], depth + 1, n)[n],
 }
 TRIANGLE_ALGORITHMS: dict[str, Callable[[int], CoeffTriangle]] = {
     "triangle-recurrence": lambda n_max: CoeffTriangle.from_recurrence(n_max),

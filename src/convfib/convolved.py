@@ -39,7 +39,7 @@ from math import factorial
 from operator import mul
 from typing import Iterator
 
-from convfib.fibonacci import base_series, fib
+from convfib.fibonacci import fib
 from convfib.poly import Poly
 from convfib.report import UsageError, at_least
 from convfib.series import Series
@@ -62,6 +62,11 @@ def _exact_int(value: Fraction) -> int:
 
 # -- integer-argument values ------------------------------------------------
 
+def base_series(order: int) -> Series:
+    """1 - t - t^2 as a rational series of the given order."""
+    return Series.from_polynomial((1, -1, -1), order)
+
+
 def conv_fib_row(r: int, n_max: int) -> list[int]:
     """[p_0(r), ..., p_{n_max}(r)] from a single series power.
 
@@ -73,19 +78,12 @@ def conv_fib_row(r: int, n_max: int) -> list[int]:
     return [_exact_int(c * factorial(n)) for n, c in enumerate(power.coefficients)]
 
 
-def _extend_holonomic(row: list[int], r: int, n: int) -> None:
+def _extend_holonomic(row: list[int], r: int, n: int) -> list[int]:
     """Append p_m(r) to ``row`` = [p_0(r), ..., p_k(r)], k >= 1, for m up to n
-    by the three-term step; one integer step per value."""
+    by the three-term step, one integer step per value; returns ``row``."""
     for m in range(len(row) - 1, n):
         row.append((m + r) * row[m] + m * (m + 2 * r - 1) * row[m - 1])
-
-
-def conv_fib_row_holonomic(r: int, n_max: int) -> list[int]:
-    """[p_0(r), ..., p_{n_max}(r)] built afresh by the three-term recurrence."""
-    at_least("n_max", n_max, 0)
-    row = [1, r]
-    _extend_holonomic(row, r, n_max)
-    return row[: n_max + 1]
+    return row
 
 
 _rows: dict[int, list[int]] = {}

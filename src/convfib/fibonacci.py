@@ -4,18 +4,12 @@ The sequence runs 1, 1, 2, 3, 5, 8, 13, ... and extends to negative
 indices through the rearranged recurrence F_{n-2} = F_n - F_{n-1}, which
 gives F_{-1} = 0, F_{-2} = 1, F_{-3} = -1, ...  Under this convention the
 reflection law reads F_{-n} = (-1)^n F_{n-2}.  No value is stored between
-calls: :func:`fib` computes each F_n afresh by fast doubling.
+calls: :func:`fib` computes each F_n afresh by fast doubling.  The module
+holds these numbers only; their check against 1/(1 - t - t^2) is the
+genfun verifier of :mod:`convfib.identities`.
 """
 
 from __future__ import annotations
-
-from convfib.report import UsageError, VerificationReport, verifier
-from convfib.series import Series
-
-
-def base_series(order: int) -> Series:
-    """1 - t - t^2 as a rational series of the given order."""
-    return Series.from_polynomial((1, -1, -1), order)
 
 
 def fib(n: int) -> int:
@@ -46,27 +40,3 @@ def fib_pure(n: int) -> int:
     for _ in range(-n):  # ... or down to n < 0
         a, b = b - a, a
     return a
-
-
-@verifier("genfun")
-def fib_genfun_check(order: int = 200) -> VerificationReport:
-    """Cross-check :func:`fib` against 1/(1 - t - t^2).
-
-    Inverts 1 - t - t^2 as a series, compares every coefficient with
-    :func:`fib`, and re-derives the three-term relations F_0 = 1,
-    F_1 - F_0 = 0, F_k - F_{k-1} - F_{k-2} = 0 directly on the series
-    coefficients.
-    """
-    if order < 2:
-        raise UsageError("the generating-function check needs order >= 2")
-    coeffs = base_series(order).inverse().coefficients
-    for k, c in enumerate(coeffs):
-        yield {"k": k, "check": "coefficient"}, c, fib(k)
-    for k in range(order + 1):
-        if k == 0:
-            residue = coeffs[0] - 1
-        elif k == 1:
-            residue = coeffs[1] - coeffs[0]
-        else:
-            residue = coeffs[k] - coeffs[k - 1] - coeffs[k - 2]
-        yield {"k": k, "check": "recurrence"}, residue, 0

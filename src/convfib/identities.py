@@ -1,19 +1,21 @@
 """Machine verification of the convolved-Fibonacci identities.
 
-Every verifier compares two independently computed sides over an explicit
-parameter grid, with exact equality and zero tolerance.  Right-hand sides
-that the statements give as nested sums are evaluated by literal recursive
-loops mirroring the summation structure, never by a shortcut, so each
-check really pits two different algorithms against each other.  Factors
-that do not change inside a sum (F_l, C(n,l) p_l(r), (N-2i)_l) are read
-once per row or grid, but every term is still formed and added.  A
-verifier reads p_n(r) only through a :class:`_Rows` of its grid, which
-reads each row p_0(r), ..., p_n(r) once.  Each verifier is a generator of
-cells in lexicographic parameter order, and :func:`convfib.report.verifier`
-turns it into a function that reports the first failing cell as the
-counterexample.  A verifier's signature is the one statement of its
-default grid, and of its report's grid; :func:`run_identity` runs a
-verifier by name and applies overrides on top of those defaults.
+All eleven verifiers live here, genfun (F_n against 1/(1 - t - t^2))
+included.  Every verifier compares two independently computed sides over
+an explicit parameter grid, with exact equality and zero tolerance.
+Right-hand sides that the statements give as nested sums are evaluated by
+literal recursive loops mirroring the summation structure, never by a
+shortcut, so each check really pits two different algorithms against each
+other.  Factors that do not change inside a sum (F_l, C(n,l) p_l(r),
+(N-2i)_l) are read once per row or grid, but every term is still formed
+and added.  A verifier reads p_n(r) only through a :class:`_Rows` of its
+grid, which reads each row p_0(r), ..., p_n(r) once.  Each verifier is a
+generator of cells in lexicographic parameter order, and
+:func:`convfib.report.verifier` turns it into a function that reports the
+first failing cell as the counterexample.  A verifier's signature is the
+one statement of its default grid, and of its report's grid;
+:func:`run_identity` runs a verifier by name and applies overrides on top
+of those defaults.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from convfib.convolved import (
     TruncationTooShort,
     _falling_step,
     _width,
+    base_series,
     conv_fib,
     conv_fib_by_nested_sum,
     conv_fib_poly,
@@ -38,7 +41,7 @@ from convfib.convolved import (
     conv_fib_row,
     factorial_powers,
 )
-from convfib.fibonacci import fib, fib_genfun_check
+from convfib.fibonacci import fib
 from convfib.poly import _reduced
 from convfib.report import UsageError, VerificationReport, at_least, verifier
 
@@ -79,6 +82,30 @@ def _binomial_cells(
             weights = _binomial_weights(rows[r], n)
             for x in x_values:
                 yield n, r, x, rows[x][n], sum(map(mul, weights, rows[x - r][n::-1]))
+
+
+@verifier("genfun")
+def fib_genfun_check(order: int = 200) -> VerificationReport:
+    """Cross-check :func:`fib` against 1/(1 - t - t^2).
+
+    Inverts 1 - t - t^2 as a series, compares every coefficient with
+    :func:`fib`, and re-derives the three-term relations F_0 = 1,
+    F_1 - F_0 = 0, F_k - F_{k-1} - F_{k-2} = 0 directly on the series
+    coefficients.
+    """
+    if order < 2:
+        raise UsageError("the generating-function check needs order >= 2")
+    coeffs = base_series(order).inverse().coefficients
+    for k, c in enumerate(coeffs):
+        yield {"k": k, "check": "coefficient"}, c, fib(k)
+    for k in range(order + 1):
+        if k == 0:
+            residue = coeffs[0] - 1
+        elif k == 1:
+            residue = coeffs[1] - coeffs[0]
+        else:
+            residue = coeffs[k] - coeffs[k - 1] - coeffs[k - 2]
+        yield {"k": k, "check": "recurrence"}, residue, 0
 
 
 @verifier("prop1")

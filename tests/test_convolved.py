@@ -28,7 +28,6 @@ from convfib.convolved import (
     conv_fib_poly_oracle,
     conv_fib_row,
     conv_fib_row_by_recurrence,
-    conv_fib_row_holonomic,
     factorial_powers,
     rising_factorial_poly,
     triangle_closed,
@@ -113,7 +112,7 @@ class TestThreeAlgorithms:
             return fib(l)
 
         monkeypatch.setattr(convolved, "fib", counted)
-        assert conv_fib_by_nested_sum(25, 5) == conv_fib_row_holonomic(5, 25)[25]
+        assert conv_fib_by_nested_sum(25, 5) == conv_fib(25, 5)
         assert sorted(reads) == list(range(26))
 
     def test_recurrence_needs_positive_argument(self):
@@ -126,7 +125,6 @@ class TestThreeAlgorithms:
 # size through the nested sum, before math.factorial sees it.
 NEGATIVE_BOUNDS = [
     pytest.param(conv_fib_row, (1, -1), "n_max must be >= 0", id="conv_fib_row"),
-    pytest.param(conv_fib_row_holonomic, (1, -1), "n_max must be >= 0", id="conv_fib_row_holonomic"),
     pytest.param(
         conv_fib_row_by_recurrence, (1, -1), "n_max must be >= 0", id="conv_fib_row_by_recurrence"
     ),
@@ -248,11 +246,11 @@ class TestRowCache:
                     assert values == conv_fib_row_by_recurrence(r, N_TOP), r
 
     def test_fresh_row_matches_series(self):
+        """The cache's step on a fresh row, as bench's holonomic runner builds it."""
         for r in ARGUMENTS:
-            assert conv_fib_row_holonomic(r, N_TOP) == list(series_row(r)), r
-        assert conv_fib_row_holonomic(5, 0) == [1]
-        with pytest.raises(ValueError):
-            conv_fib_row_holonomic(5, -1)
+            assert convolved._extend_holonomic([1, r], r, N_TOP) == list(series_row(r)), r
+        holonomic = bench.VALUE_ALGORITHMS["holonomic"]
+        assert [holonomic(n, 4) for n in (0, 1)] == list(series_row(5)[:2]) == [1, 5]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, N_TOP), st.sampled_from(ARGUMENTS)), max_size=40))

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import ast
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib.fibonacci import fib, fib_genfun_check, fib_pure
+from convfib import fibonacci
+from convfib.fibonacci import fib, fib_pure
+from convfib.identities import fib_genfun_check
 from convfib.series import Series
 
 
@@ -77,6 +81,16 @@ class TestNoStoredValues:
         finally:
             tracemalloc.stop()
         assert held < 1 << 20
+
+
+def test_module_imports_nothing_from_the_package():
+    """The Fibonacci numbers are the bottom layer: no series, no verifier."""
+    nodes = list(ast.walk(ast.parse(Path(fibonacci.__file__).read_text(encoding="utf-8"))))
+    imported = [a.name for node in nodes if isinstance(node, ast.Import) for a in node.names]
+    imported += [
+        "." * node.level + (node.module or "") for node in nodes if isinstance(node, ast.ImportFrom)
+    ]
+    assert [name for name in imported if name.startswith((".", "convfib"))] == []
 
 
 class TestGenfunCheck:

@@ -15,18 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib import convolved, identities, poly, series
+from convfib import bench, convolved, identities, poly, series
 from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
+    base_series,
     conv_fib,
     conv_fib_poly,
     conv_fib_poly_genfun,
     conv_fib_poly_oracle,
+    conv_fib_row,
     conv_fib_row_by_recurrence,
     rising_factorial_poly,
 )
-from convfib.fibonacci import base_series, fib
+from convfib.fibonacci import fib
 from convfib.identities import (
     IDENTITY_NAMES,
     _binomial_weights,
@@ -288,7 +290,8 @@ class TestHoistedFactors:
 
 
 class TestSharedRowCode:
-    """cor8 and cor4 run the row code that ``table`` and ``bench`` run."""
+    """cor8 and cor4 run the row code that ``table`` and ``bench`` run, and
+    ``bench`` the step that ``conv_fib``'s cache runs."""
 
     def test_cor8_without_a_triangle_checks_the_rolled_row(self, monkeypatch):
         # one row too many kept makes conv_fib_poly(N) read row N - 1
@@ -318,6 +321,28 @@ class TestSharedRowCode:
         report = verify_cor4(8, 2)
         assert report.counterexample["params"] == {"n": 5, "r": 1}
         assert report.cells == 5 * 2 + 1
+
+    def test_bench_times_the_step_that_the_row_cache_runs(self, monkeypatch):
+        assert bench._extend_holonomic is convolved._extend_holonomic
+        step = convolved._extend_holonomic
+
+        def wrong_at_5(row, r, n):
+            extended_from = len(row)
+            step(row, r, n)
+            if extended_from <= 5 < len(row):
+                row[5] += 1
+            return row
+
+        for module in (convolved, bench):
+            monkeypatch.setattr(module, "_extend_holonomic", wrong_at_5)
+        rows = {r: list(row) for r, row in convolved._rows.items()}
+        r = 3
+        right = conv_fib_row(r, 5)[5]
+        assert bench.VALUE_ALGORITHMS["holonomic"](5, r - 1) == right + 1
+        # the runner builds its row from scratch and leaves the cache as it was
+        assert convolved._rows == rows
+        monkeypatch.setattr(convolved, "_rows", {})
+        assert conv_fib(5, r) == right + 1
 
 
 class TestWorkDoneOnce:
@@ -797,6 +822,21 @@ class TestRunner:
                 if key != "triangle"
             ]
             assert list(report.grid.items()) == expected, name
+
+    def test_every_verifier_is_defined_here(self, monkeypatch):
+        """Each verifier that run_identity resolves, genfun's included, is
+        defined in convfib.identities; the lookup stops at its signature."""
+        resolved = []
+
+        def stop(verifier):
+            resolved.append(verifier)
+            raise LookupError(verifier.__name__)
+
+        monkeypatch.setattr(inspect, "signature", stop)
+        for name in IDENTITY_NAMES:
+            with pytest.raises(LookupError):
+                run_identity(name)
+        assert [f.__module__ for f in resolved] == ["convfib.identities"] * len(IDENTITY_NAMES)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
