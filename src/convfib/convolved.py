@@ -26,12 +26,13 @@ The same numbers have a closed form as i-fold nested sums
              sum_{k_1=1}^{k_2+1} (k_i * ... * k_1)
 
 and give p_N(x) = sum_i a_i(N) <x>_{N-i} in the rising-factorial basis.
+A single row also has the product form a_i(N) = N!/(i!(N-2i)!), from which
+:func:`conv_fib_poly` reads row N without rows 0 .. N-1.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -233,6 +234,16 @@ def _recurrence_rows(n_max: int) -> Iterator[tuple[int, ...]]:
     return accumulate(range(n_max), _next_row, initial=(1,))
 
 
+def _product_row(n: int) -> tuple[int, ...]:
+    """Row N alone, in product form a_i(N) = N!/(i!(N-2i)!): a_0(N) = 1 and
+    a_{i+1}(N) = a_i(N) (N-2i)(N-2i-1)/(i+1), an exact division.  For odd N
+    the last step has the factor N-2i-1 = 0, which is the zero diagonal."""
+    row = [1]
+    for i in range(_width(n) - 1):
+        row.append(row[i] * (n - 2 * i) * (n - 2 * i - 1) // (i + 1))
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class CoeffTriangle:
     """Rows of a_i(N) for 0 <= N <= n_max, 0 <= i <= floor((N+1)/2); a row
@@ -328,12 +339,13 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
     """p_N(x) = sum_i a_i(N) <x>_{N-i}, expanded to the monomial basis by Horner's
     rule c_0 + x(c_1 + (x+1)(c_2 + ... + (x+N-1) c_N)), c_{N-i} = a_i(N), else 0.
 
-    Without a triangle, row N comes from the row step alone, two rows at a time.
-    Every Horner step runs on a plain list of integer coefficients, and one
-    Poly is built at the end.
+    Without a triangle, row N alone is read in product form, one entry from
+    the one before (:func:`_product_row`), with no rows 0 .. N-1.  Every
+    Horner step runs on a plain list of integer coefficients, and one Poly
+    is built at the end.
     """
     at_least("n", n, 0)
-    rising = deque(_recurrence_rows(n), maxlen=1)[0] if triangle is None else triangle.row(n)
+    rising = _product_row(n) if triangle is None else triangle.row(n)
     coeffs = [rising[0]]  # lowest power of x first
     for m in range(n - 1, -1, -1):
         coeffs = [m * c + lower for c, lower in zip([*coeffs, 0], [0, *coeffs])]  # (x+m) c
@@ -352,8 +364,10 @@ def conv_fib_poly_genfun(order: int) -> Series:
 
     The process keeps the expansion at the largest order asked for and
     answers a smaller order with its truncation, which is exact: each
-    exp/log coefficient depends only on lower ones.  A larger order is
-    built afresh, under a lock, and replaces it.
+    exp/log coefficient depends only on lower ones, and the log's do not
+    depend on the order.  A larger order extends the kept expansion, under
+    a lock: its coefficients are kept and only the new ones are computed,
+    so each coefficient is computed once per process.
     """
     global _genfun
     at_least("order", order, 0)
@@ -362,7 +376,7 @@ def conv_fib_poly_genfun(order: int) -> Series:
         with _genfun_lock:
             gen = _genfun
             if gen is None or gen.order < order:
-                gen = _genfun = (base_series(order).log() * -Poly.x()).exp()
+                gen = _genfun = (base_series(order).log() * -Poly.x()).exp(gen)
     return gen.truncate(order)
 
 

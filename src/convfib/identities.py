@@ -265,10 +265,12 @@ def verify_thm6(
 
     # k! [t^k] F = p_k(x), k <= order, as integer numerators over one common denominator
     coefficients = conv_fib_poly_genfun(order).coefficients
-    den = lcm(*(p._den // gcd(p._den, factorial(k)) for k, p in enumerate(coefficients)))
-    hurwitz = [
-        [c * (factorial(k) * den // p._den) for c in p._nums] for k, p in enumerate(coefficients)
-    ]
+    facts = [factorial(k) for k in range(order + 1)]
+    den = lcm(*(p._den // gcd(p._den, f) for f, p in zip(facts, coefficients)))
+    hurwitz = []
+    for f, p in zip(facts, coefficients):
+        scale = f * den // p._den
+        hurwitz.append([c * scale for c in p._nums])
     shift = _thm6_shift(hurwitz, n_max, triangle)
 
     for n, (left, copies) in enumerate(_walk([_pack(h, shift) for h in hurwitz], n_max, shift)):
@@ -336,8 +338,8 @@ def verify_cor8(
     coincide with the triangle-free symbolic construction, n! [t^N] of the
     one expansion that :func:`~convfib.convolved.conv_fib_poly_genfun`
     keeps, read at order n_max, and its value at every x in the grid must
-    equal p_N(x).  Without a triangle, row N is
-    the one :func:`~convfib.convolved.conv_fib_poly` rolls for itself.
+    equal p_N(x).  Without a triangle, row N is the one
+    :func:`~convfib.convolved.conv_fib_poly` reads in product form.
     """
     at_least("order", n_max, 0)  # n_max is the order of the expansion the oracle reads
     rows = _Rows(n_max)

@@ -20,9 +20,10 @@ doubles the sum.
 
 ``/``, ``log`` and ``exp`` are recurrences run by :meth:`Series._recur`:
 a / b solves q*b = a, ``inverse`` is 1 / self, ``log`` solves a*L' = a'
-for E_n = n*L_n, then divides by n, and ``exp`` solves E' = a'E.  Only
-scalar divisions occur, by the divisor's constant term or by the index,
-so all of them stay inside the coefficient ring.
+for E_n = n*L_n, then divides by n, and ``exp`` solves E' = a'E, from t^0
+or onward from a known prefix.  Only scalar divisions occur, by the
+divisor's constant term or by the index, so all of them stay inside the
+coefficient ring.
 """
 
 from __future__ import annotations
@@ -172,12 +173,16 @@ class Series:
         return acc
 
     def _recur(
-        self, first: Coeff, support: list[tuple[int, Coeff]], finish: Callable[[int, Coeff], Coeff]
+        self,
+        known: Sequence[Coeff],
+        support: list[tuple[int, Coeff]],
+        finish: Callable[[int, Coeff], Coeff],
     ) -> Series:
-        """The series [first, ...] through this order with
+        """The series that starts with ``known`` (at least its t^0
+        coefficient) and continues through this order with
         out[n] = finish(n, sum of c * out[n - k] over the (k, c) of ``support``)."""
-        out = [first]
-        for n in range(1, self.order + 1):
+        out = list(known[: self.order + 1])
+        for n in range(len(out), self.order + 1):
             out.append(finish(n, self._dot(support, out, n)))
         return Series(out)
 
@@ -244,8 +249,8 @@ class Series:
         b0_inv = self._invert_coeff(other._coeffs[0])
         support = [(k, c) for k, c in enumerate(other._coeffs[: a.order + 1]) if k and c]
         if b0_inv == 1:  # as in every division the package makes: nothing to scale
-            return a._recur(num[0], support, lambda n, acc: num[n] - acc)
-        return a._recur(num[0] * b0_inv, support, lambda n, acc: (num[n] - acc) * b0_inv)
+            return a._recur(num[:1], support, lambda n, acc: num[n] - acc)
+        return a._recur([num[0] * b0_inv], support, lambda n, acc: (num[n] - acc) * b0_inv)
 
     def inverse(self) -> Series:
         """Multiplicative inverse: self * self.inverse() == 1 through the order.
@@ -293,19 +298,24 @@ class Series:
             raise BadConstantTerm(f"log needs constant term 1, got {self._coeffs[0]}")
         a = self._coeffs
         support = [(k, c) for k, c in enumerate(a) if k and c]  # k = n reads E_0 = 0
-        e = self._recur(self._zero_coeff(), support, lambda n, acc: a[n] * n - acc)._coeffs
+        e = self._recur([self._zero_coeff()], support, lambda n, acc: a[n] * n - acc)._coeffs
         return Series([e[0], *(e[n] / n for n in range(1, len(e)))])
 
-    def exp(self) -> Series:
+    def exp(self, known: Series | None = None) -> Series:
         """Series exponential: solves E' = a'E with E(0) = 1.
 
+        ``known``, when given, is exp(b) for a series b that agrees with
+        this one through t^known.order: its coefficients are kept and only
+        the later ones computed.  That is exact, since e_n depends only on
+        a_1 .. a_n and e_0 .. e_{n-1}.
         Requires constant term exactly 0 (:class:`BadConstantTerm` otherwise).
         """
         if self._coeffs[0] != self._zero_coeff():
             raise BadConstantTerm(f"exp needs constant term 0, got {self._coeffs[0]}")
         # n * e_n = sum_{k=1..n} k a_k e_{n-k}
         support = [(k, c * k) for k, c in enumerate(self._coeffs) if k and c]
-        return self._recur(self._one_coeff(), support, lambda n, acc: acc / n)
+        start = [self._one_coeff()] if known is None else known.coefficients
+        return self._recur(start, support, lambda n, acc: acc / n)
 
     # -- comparison / display ---------------------------------------------
 

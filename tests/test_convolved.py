@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convfib import bench, cli, convolved
+from convfib import bench, cli, convolved, series
 from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
@@ -225,9 +225,9 @@ def count_exp(monkeypatch) -> list[int]:
     """Patch Series.exp to record the order of each expansion; returns the record."""
     exp, orders = Series.exp, []
 
-    def counted(series):
+    def counted(series, known=None):
         orders.append(series.order)
-        return exp(series)
+        return exp(series, known)
 
     monkeypatch.setattr(Series, "exp", counted)
     return orders
@@ -473,14 +473,19 @@ class TestPolynomialForms:
             assert conv_fib_poly(n, triangle).monomial == expected
 
     def test_rows_without_a_triangle_match_the_closed_form(self):
-        """Row N rolled by the row step alone, against the nested-sum form."""
-        closed = CoeffTriangle.from_closed_form(40)
-        for n in range(41):
+        """Row N read in product form, against the nested-sum form."""
+        closed = CoeffTriangle.from_closed_form(60)
+        for n in range(61):
             assert conv_fib_poly(n).rising == closed.row(n)
         assert conv_fib_poly(40).monomial == conv_fib_poly(40, closed).monomial
 
+    def test_product_row_matches_the_row_step_through_300(self):
+        """a_{i+1}(N) = a_i(N) (N-2i)(N-2i-1)/(i+1) against rows rolled by the row step."""
+        for n, row in enumerate(convolved._recurrence_rows(300)):
+            assert convolved._product_row(n) == row, n
+
     def test_memory_without_a_triangle_stays_near_the_result(self):
-        """Without a triangle only two rows are held, not all N + 1."""
+        """Without a triangle only row N is held, not all N + 1 rows."""
         tracemalloc.start()
         try:
             poly = conv_fib_poly(200)
@@ -542,6 +547,36 @@ class TestSharedExpansion:
                 conv_fib_poly_genfun(order)
             for k in range(41):
                 assert conv_fib_poly_genfun(k) == cold_expansion(k), k
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 60), st.integers(0, 60))
+    def test_an_extended_expansion_reads_as_cold(self, a, b):
+        """Order a and then order b >= a: the kept expansion is extended to
+        b, and it equals a build from nothing at b."""
+        a, b = sorted((a, b))
+        with cold_genfun():
+            conv_fib_poly_genfun(a)
+            assert conv_fib_poly_genfun(b) == cold_expansion(b)
+
+    def test_a_shuffled_pass_computes_each_coefficient_once(self, monkeypatch):
+        """The orders one ``symbolic`` benchmark pass asks for, shuffled: the
+        oracle at N = 2, 4, .., 38 and thm6 at order 3N for N <= 10.  Each
+        coefficient of the exp over Q[x] past t^0 is one sum of products, and
+        each is computed once, however often a larger order is asked for."""
+        orders = [*range(2, 40, 2), *range(3, 31, 3)]
+        random.Random(1).shuffle(orders)
+        sums = []
+        total = series.sum_of_products
+
+        def counted(terms):
+            sums.append(terms)
+            return total(terms)
+
+        monkeypatch.setattr(series, "sum_of_products", counted)
+        with cold_genfun():
+            for order in orders:
+                conv_fib_poly_genfun(order)
+        assert len(sums) == max(orders)
 
     @pytest.mark.parametrize("warm_up", [(), (40,)])
     def test_negative_order_refused(self, warm_up):

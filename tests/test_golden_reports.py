@@ -81,13 +81,15 @@ PERTURBED_POWERS = [0, 5, 12, 30]
 PERTURBED_DELTAS = [1, Fraction(1, 7), Fraction(2, 3), Fraction(-1, 11)]
 
 
-def perturbed_exp(power: int, delta: Fraction) -> Callable[[Series], Series]:
-    """``Series.exp`` with the t^power coefficient of its result off by delta."""
+def perturbed_exp(power: int, delta: Fraction) -> Callable[..., Series]:
+    """``Series.exp`` with the t^power coefficient of its result off by delta;
+    a known prefix that holds t^power already carries the change."""
     exp = Series.exp
 
-    def perturbed(self: Series) -> Series:
-        coeffs = list(exp(self).coefficients)
-        coeffs[power] += delta
+    def perturbed(self: Series, known: Series | None = None) -> Series:
+        coeffs = list(exp(self, known).coefficients)
+        if known is None or known.order < power:
+            coeffs[power] += delta
         return Series(coeffs)
 
     return perturbed

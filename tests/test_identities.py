@@ -126,14 +126,7 @@ class TestGridsPass:
         """Once the kept expansion is cleared, both checks read the one
         built next, here with t^5 off by one, and fail."""
         conv_fib_poly_genfun(40)
-        exp = Series.exp
-
-        def perturbed(self):
-            coeffs = list(exp(self).coefficients)
-            coeffs[5] += 1
-            return Series(coeffs)
-
-        with cold_genfun(), patch.object(Series, "exp", perturbed):
+        with cold_genfun(), patch.object(Series, "exp", perturbed_exp(5, 1)):
             assert not verify_thm6().passed
             assert not verify_cor8().passed
 
@@ -143,14 +136,7 @@ class TestGridsPass:
         so that 5! [t^5] F is no integer, thm6 fails with the report of the
         Series form."""
         conv_fib_poly_genfun(40)
-        exp = Series.exp
-
-        def perturbed(self):
-            coeffs = list(exp(self).coefficients)
-            coeffs[5] += delta
-            return Series(coeffs)
-
-        with cold_genfun(), patch.object(Series, "exp", perturbed):
+        with cold_genfun(), patch.object(Series, "exp", perturbed_exp(5, delta)):
             report = verify_thm6()
             assert report.status == "fail"
             assert report == thm6_reference()
@@ -293,12 +279,16 @@ class TestSharedRowCode:
     """cor8 and cor4 run the row code that ``table`` and ``bench`` run, and
     ``bench`` the step that ``conv_fib``'s cache runs."""
 
-    def test_cor8_without_a_triangle_checks_the_rolled_row(self, monkeypatch):
-        # one row too many kept makes conv_fib_poly(N) read row N - 1
-        deque = convolved.deque
-        monkeypatch.setattr(convolved, "deque", lambda rows, maxlen: deque(rows, maxlen=maxlen + 1))
+    def test_cor8_without_a_triangle_checks_the_product_row(self, monkeypatch):
+        # a_1(4) off by one in the row that conv_fib_poly(4) reads
+        row = convolved._product_row
+
+        def off_at_4_1(n):
+            return tuple(a + ((n, i) == (4, 1)) for i, a in enumerate(row(n)))
+
+        monkeypatch.setattr(convolved, "_product_row", off_at_4_1)
         report = verify_cor8(6, range(-2, 5))
-        assert report.counterexample["params"] == {"N": 2, "check": "polynomial"}
+        assert report.counterexample["params"] == {"N": 4, "check": "polynomial"}
         assert verify_cor8(6, range(-2, 5), triangle=CoeffTriangle.from_recurrence(6)).passed
 
     def test_cor8_without_a_triangle_builds_none(self, monkeypatch):
