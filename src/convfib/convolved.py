@@ -71,8 +71,8 @@ def base_series(order: int) -> Series:
 def conv_fib_row(r: int, n_max: int) -> list[int]:
     """[p_0(r), ..., p_{n_max}(r)] from a single series power.
 
-    For r <= 0 the power (1 - t - t^2)**(-r) is a finite polynomial and
-    the high coefficients are zero.
+    For r <= 0 the power (1 - t - t^2)**(-r) is a polynomial of degree -2r;
+    each product stops at its factors' degree sum, so it costs O(r^2), not O(n_max r).
     """
     at_least("n_max", n_max, 0)
     power = base_series(n_max) ** (-r)
@@ -354,7 +354,8 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
     return RisingFactorialPoly(n, rising, Poly(coeffs))
 
 
-_genfun: Series | None = None  # the largest expansion built so far
+# log(1 - t - t^2), the coefficients of -x log(1 - t - t^2) and F, at the largest order so far
+_genfun: tuple[Series, tuple[Poly, ...], Series] | None = None
 _genfun_lock = threading.Lock()
 
 
@@ -365,19 +366,21 @@ def conv_fib_poly_genfun(order: int) -> Series:
     The process keeps the expansion at the largest order asked for and
     answers a smaller order with its truncation, which is exact: each
     exp/log coefficient depends only on lower ones, and the log's do not
-    depend on the order.  A larger order extends the kept expansion, under
-    a lock: its coefficients are kept and only the new ones are computed,
-    so each coefficient is computed once per process.
+    depend on the order.  A larger order extends the kept log, exponent
+    and expansion under a lock: only their new coefficients are computed,
+    so each is computed once per process.
     """
     global _genfun
     at_least("order", order, 0)
-    gen = _genfun
-    if gen is None or gen.order < order:
+    if _genfun is None or _genfun[2].order < order:
         with _genfun_lock:
-            gen = _genfun
+            log, exponent, gen = _genfun or (None, (), None)
             if gen is None or gen.order < order:
-                gen = _genfun = (base_series(order).log() * -Poly.x()).exp(gen)
-    return gen.truncate(order)
+                log = base_series(order).log(log)
+                lifted = Series(log.coefficients[len(exponent) :]) * -Poly.x()
+                exponent = (*exponent, *lifted.coefficients)
+                _genfun = (log, exponent, Series(exponent).exp(gen))
+    return _genfun[2].truncate(order)  # kept expansions only grow
 
 
 def conv_fib_poly_oracle(n: int, order: int) -> Poly:

@@ -16,7 +16,9 @@ as one convolution sum, :meth:`Series._dot`.  Over Q[x] that sum is a
 single :func:`~convfib.poly.sum_of_products` on integer numerators,
 reduced once per coefficient; over Q the Fraction terms are added one by
 one.  A series times itself forms each product c_k c_{n-k} once and
-doubles the sum.
+doubles the sum.  A product sums only through t^(deg a + deg b): every
+term of a later coefficient has a zero factor, so a polynomial's power
+costs its degree, not the order.
 
 ``/``, ``log`` and ``exp`` are recurrences run by :meth:`Series._recur`:
 a / b solves q*b = a, ``inverse`` is 1 / self, ``log`` solves a*L' = a'
@@ -172,6 +174,9 @@ class Series:
             acc = acc + c * seq[n - k]
         return acc
 
+    def _degree(self, order: int) -> int:  # the last nonzero index through t**order, else -1
+        return next((k for k in range(order, -1, -1) if self._coeffs[k]), -1)
+
     def _recur(
         self,
         known: Sequence[Coeff],
@@ -202,6 +207,7 @@ class Series:
         return Series([-c for c in self._coeffs])
 
     def __mul__(self, other: Series | CoeffLike) -> Series:
+        """Scalar multiple, or Cauchy product summed only through t^(deg a + deg b)."""
         if isinstance(other, (int, Fraction, Poly)):
             return Series([c * other for c in self._coeffs])
         if not isinstance(other, Series):
@@ -218,20 +224,22 @@ class Series:
             a, b = b, a
         # Cauchy product; iterate only over the sparser factor's support.
         support = [(k, c) for k, c in enumerate(a._coeffs[: order + 1]) if c]
-        return Series([a._dot(support, b._coeffs, n) for n in range(order + 1)])
+        top = min(order, a._degree(order) + b._degree(order))
+        out = [a._dot(support, b._coeffs, n) for n in range(top + 1)]
+        return Series(out + [a._zero_coeff()] * (order + 1 - len(out)))
 
     __rmul__ = __mul__
 
     def _square(self) -> Series:
-        """self * self from half the products: t^n gets twice the sum of
-        c_k c_{n-k} over k < n - k, plus c_{n/2}**2 when n is even."""
+        """self * self from half the products, through t^(2 deg): t^n gets twice
+        the sum of c_k c_{n-k} over k < n - k, plus c_{n/2}**2 when n is even."""
         c = self._coeffs
         support = [(k, v) for k, v in enumerate(c) if v]
         out = []
-        for n in range(len(c)):
+        for n in range(min(self.order, 2 * self._degree(self.order)) + 1):
             half = self._dot(support, c, n, (n - 1) // 2)
             out.append(half + half + c[n // 2] * c[n // 2] if n % 2 == 0 else half + half)
-        return Series(out)
+        return Series(out + [self._zero_coeff()] * (len(c) - len(out)))
 
     def __truediv__(self, other: Series) -> Series:
         """The q with q * other == self through the lower order, one
@@ -287,19 +295,23 @@ class Series:
             raise ValueError("derivative of an order-0 series is undetermined")
         return Series([self._coeffs[k] * k for k in range(1, self.order + 1)])
 
-    def log(self) -> Series:
+    def log(self, known: Series | None = None) -> Series:
         """Series logarithm L, the L(0) = 0 solution of a * L' = a'.
 
         Reading t^(n-1) of a * L' = a' with a_0 = 1 gives, for E_n = n*L_n,
         E_n = n*a_n - sum_{k=1..n-1} a_k E_{n-k}; L_n is E_n / n.
+        ``known``, when given, is log(b) for a b that agrees with this one
+        through t^known.order; it is kept and continued, as in :meth:`exp`.
         Requires constant term exactly 1 (:class:`BadConstantTerm` otherwise).
         """
         if self._coeffs[0] != self._one_coeff():
             raise BadConstantTerm(f"log needs constant term 1, got {self._coeffs[0]}")
         a = self._coeffs
         support = [(k, c) for k, c in enumerate(a) if k and c]  # k = n reads E_0 = 0
-        e = self._recur([self._zero_coeff()], support, lambda n, acc: a[n] * n - acc)._coeffs
-        return Series([e[0], *(e[n] / n for n in range(1, len(e)))])
+        done = [self._zero_coeff()] if known is None else known.coefficients[: self.order + 1]
+        start = [c * n for n, c in enumerate(done)]  # E_n of the kept L_n
+        e = self._recur(start, support, lambda n, acc: a[n] * n - acc)._coeffs
+        return Series([*done, *(e[n] / n for n in range(len(done), len(e)))])
 
     def exp(self, known: Series | None = None) -> Series:
         """Series exponential: solves E' = a'E with E(0) = 1.

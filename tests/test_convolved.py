@@ -21,6 +21,7 @@ from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
     TruncationTooShort,
+    base_series,
     conv_fib,
     conv_fib_by_nested_sum,
     conv_fib_poly,
@@ -306,6 +307,13 @@ class TestRandomizedAgreement:
     def test_nonpositive_argument_is_finite_expansion(self, n, r):
         assert conv_fib_row(r, n) == finite_power_row(-r, n)
 
+    def test_nonpositive_rows_beyond_the_grids(self):
+        """For every r in [-60, 0], the row through n = 300, where each series
+        product stops at its factors' degree sum, is n! [t^n] of the
+        polynomial (1 - t - t^2)**|r| expanded on plain integers."""
+        for r in range(-60, 1):
+            assert conv_fib_row(r, 300) == finite_power_row(-r, 300), r
+
 
 class TestFactorialPowers:
     def test_falling_and_rising_at_five(self):
@@ -578,6 +586,33 @@ class TestSharedExpansion:
                 conv_fib_poly_genfun(order)
         assert len(sums) == max(orders)
 
+    def test_a_rise_computes_only_the_new_log_coefficients(self, monkeypatch):
+        """From order 30 to 40, the log of 1 - t - t^2 over Q runs its
+        recurrence at t^31 .. t^40 alone; the kept log and exponent
+        coefficients through t^30 are the very objects kept before."""
+        indices = []
+        dot = Series._dot
+
+        def counted(self, support, seq, n, top=None):
+            if not self.is_poly_ring():
+                indices.append(n)
+            return dot(self, support, seq, n, top)
+
+        with cold_genfun():
+            conv_fib_poly_genfun(30)
+            log, exponent, _ = convolved._genfun
+            monkeypatch.setattr(Series, "_dot", counted)
+            conv_fib_poly_genfun(40)
+            monkeypatch.undo()
+            new_log, new_exponent, gen = convolved._genfun
+        assert indices == list(range(31, 41))
+        for kept, extended in ((log.coefficients, new_log.coefficients), (exponent, new_exponent)):
+            assert len(kept) == 31 and len(extended) == 41
+            assert all(c is d for c, d in zip(kept, extended))
+        assert new_log == base_series(40).log()
+        assert Series(new_exponent) == base_series(40).log() * -Poly.x()
+        assert gen == cold_expansion(40)
+
     @pytest.mark.parametrize("warm_up", [(), (40,)])
     def test_negative_order_refused(self, warm_up):
         with cold_genfun():
@@ -605,7 +640,7 @@ class TestSharedExpansion:
         try:
             with cold_genfun(), ThreadPoolExecutor(max_workers=len(orders)) as pool:
                 results = list(pool.map(read, orders))
-                kept = convolved._genfun.order
+                kept = convolved._genfun[2].order
         finally:
             sys.setswitchinterval(interval)
         assert built.count(40) == 1 and kept == 40, built

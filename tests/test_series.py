@@ -378,6 +378,19 @@ class TestRandomizedRingLaws:
         unit = data.draw(series(ring, constant=st.just(1)))
         assert unit.log().exp() == unit
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_log_and_exp_continue_a_known_prefix(self, ring, data):
+        """log and exp given the log or exp of a series that agrees with this
+        one through some t^k, shorter or longer than this one, read as a
+        build from t^0."""
+        unit = data.draw(series(ring, constant=st.just(1)))
+        nil = data.draw(series(ring, constant=st.just(0)))
+        k = data.draw(st.integers(0, ORDER))
+        for a, fn in ((unit, Series.log), (nil, Series.exp)):
+            assert fn(a, fn(a.truncate(k))) == fn(a)
+            assert fn(a.truncate(k), fn(a)) == fn(a.truncate(k))
+
 
 def naive_mul(a: list[Poly], b: list[Poly]) -> list[Poly]:
     """Cauchy product over Q[x], each term added with plain Poly operations."""
@@ -516,6 +529,132 @@ class TestSquare:
             a = a * Poly((1, 1))
         twin = Series(a.coefficients)  # each product below is a general one
         assert a**5 == twin * a * a * a * a
+
+
+def plain_product(a: list, b: list, order: int) -> list:
+    """Cauchy product of coefficient lists through t^order: every term
+    a_k b_{n-k}, zero or not, formed and added with the ring's own +."""
+    zero = a[0] - a[0]
+    return [sum((a[k] * b[n - k] for k in range(n + 1)), zero) for n in range(order + 1)]
+
+
+def plain_power(a: list, exponent: int) -> list:
+    """a**exponent through a's order by exponent plain products."""
+    one = Poly.one() if isinstance(a[0], Poly) else Fraction(1)
+    out = [one] + [a[0] - a[0]] * (len(a) - 1)
+    for _ in range(exponent):
+        out = plain_product(out, a, len(a) - 1)
+    return out
+
+
+@st.composite
+def shaped_series(draw, ring: str, order: int) -> Series:
+    """A series over ``ring`` through t^order: the zero series, a polynomial
+    whose degree is anything up to the order, a sparse series or a dense one."""
+    zero = Fraction(0) if ring == "Q" else Poly.zero()
+    element, nonzero = RING_ELEMENTS[ring], RING_ELEMENTS[ring].filter(bool)
+    shape = draw(st.sampled_from(("zero", "polynomial", "sparse", "dense")))
+    if shape == "zero":
+        return Series([zero] * (order + 1))
+    if shape == "polynomial":
+        degree = draw(st.integers(0, order))
+        low = draw(st.lists(element, min_size=degree, max_size=degree))
+        return Series([*low, draw(nonzero), *[zero] * (order - degree)])
+    if shape == "sparse":
+        element = st.one_of(st.just(zero), element)
+    else:
+        element = nonzero
+    return Series(draw(st.lists(element, min_size=order + 1, max_size=order + 1)))
+
+
+def assert_is(got: Series, want: list, ring: str) -> None:
+    """``got`` holds exactly the coefficients ``want``, each in ``ring``."""
+    assert list(got.coefficients) == want
+    assert all(isinstance(c, Fraction if ring == "Q" else Poly) for c in got.coefficients)
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q[x]"])
+class TestDegreeBoundedProducts:
+    """Products and squares sum only through t^(deg a + deg b) and fill the
+    rest with the ring's zero; plain lists, which form every term, are the
+    oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_products_squares_and_powers_match_plain_lists(self, ring, data):
+        a = data.draw(shaped_series(ring, data.draw(st.integers(0, 9))))
+        b = data.draw(shaped_series(ring, data.draw(st.integers(0, 9))))
+        exponent = data.draw(st.integers(0, 6))
+        a_list, b_list = list(a.coefficients), list(b.coefficients)
+        order = min(a.order, b.order)
+        assert_is(a * b, plain_product(a_list, b_list, order), ring)
+        assert_is(b * a, plain_product(b_list, a_list, order), ring)
+        assert_is(a * a, plain_product(a_list, a_list, a.order), ring)
+        assert_is(a**exponent, plain_power(a_list, exponent), ring)
+
+    @pytest.mark.parametrize(
+        "order, shapes",
+        [
+            (0, ("zero", "zero")),
+            (0, ("dense", "dense")),
+            (6, ("zero", "zero")),
+            (6, ("zero", "dense")),
+            (6, ("dense", "polynomial")),
+            (6, ("polynomial", "polynomial")),
+            (6, ("sparse", "polynomial")),
+        ],
+    )
+    def test_named_cases(self, ring, order, shapes):
+        """The zero series, order 0, and a dense series times a polynomial,
+        with polynomial degrees 0 .. order, so the degree sum runs from below
+        to past the order and a degree equals the order."""
+        zero = Fraction(0) if ring == "Q" else Poly.zero()
+        unit = Fraction(1) if ring == "Q" else Poly((1, 1))
+        fixed = {
+            "zero": [[zero] * (order + 1)],
+            "dense": [[unit * (k + 2) for k in range(order + 1)]],
+            "sparse": [[unit if k % 3 == 1 else zero for k in range(order + 1)]],
+            "polynomial": [
+                [unit * (k - 3) if k <= degree and k != 3 else zero for k in range(order + 1)]
+                for degree in range(order + 1)
+            ],
+        }
+        for a_list in fixed[shapes[0]]:
+            for b_list in fixed[shapes[1]]:
+                a, b = Series(a_list), Series(b_list)
+                assert_is(a * b, plain_product(a_list, b_list, order), ring)
+                assert_is(b * a, plain_product(b_list, a_list, order), ring)
+                assert_is(a * a, plain_product(a_list, a_list, order), ring)
+                assert_is(b**3, plain_power(b_list, 3), ring)
+
+    def test_two_polynomials_take_one_sum_per_coefficient_to_the_degree_sum(self, ring, monkeypatch):
+        """At order 30, a degree-2 times a degree-3 polynomial runs Series._dot
+        2 + 3 + 1 = 6 times, a degree-3 square 7 times and the zero series
+        square none; a dense factor still takes one sum per coefficient."""
+        calls = []
+        dot = Series._dot
+
+        def counted(self, *args):
+            calls.append(args[2])
+            return dot(self, *args)
+
+        monkeypatch.setattr(Series, "_dot", counted)
+        a = Series.from_polynomial((1, 2, 3), 30)
+        b = Series.from_polynomial((1, -1, 0, 5), 30)
+        dense, zero = Series.from_polynomial([1] * 31, 30), Series.zero(30)
+        if ring == "Q[x]":
+            a, b, dense, zero = a * Poly((1, 1)), b.lift(), dense.lift(), zero.lift()
+        for product, indices in (
+            (lambda: a * b, range(6)),
+            (lambda: b * a, range(6)),
+            (lambda: b * b, range(7)),
+            (lambda: zero * zero, []),
+            (lambda: a * dense, range(31)),
+        ):
+            calls.clear()
+            got = product()
+            assert calls == list(indices)
+            assert got.order == 30 and got.is_poly_ring() == (ring == "Q[x]")
 
 
 class TestConstruction:
