@@ -97,11 +97,16 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag_at_least(flag: str, value: int, low: int) -> None:
+    """Refuse ``value`` of ``flag`` below ``low``, naming the value given."""
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+
+
 def _worker_count(jobs: int, tasks: int) -> int:
     """Processes worth starting: never more than tasks, or than the cores
     this process may run on (its affinity mask, where the platform has one)."""
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+    _flag_at_least("--jobs", jobs, 1)
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -141,14 +146,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if any(n < 0 for n in args.sizes):
-        raise UsageError(f"--sizes must be >= 0, got {min(args.sizes)}")
-    if args.repeats < 1:
-        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
-    if args.r < 1:
-        raise UsageError(f"--r must be >= 1, got {args.r}")
-    if args.triangle_max < 0:
-        raise UsageError(f"--triangle-max must be >= 0, got {args.triangle_max}")
+    _flag_at_least("--sizes", min(args.sizes, default=0), 0)
+    _flag_at_least("--repeats", args.repeats, 1)
+    _flag_at_least("--r", args.r, 1)
+    _flag_at_least("--triangle-max", args.triangle_max, 0)
     if not 0 <= args.min_time_ms < math.inf:
         raise UsageError(f"--min-time-ms must be a finite number >= 0, got {args.min_time_ms}")
     if args.min_time_ms > 10_000:

@@ -69,14 +69,16 @@ def base_series(order: int) -> Series:
 
 
 def conv_fib_row(r: int, n_max: int) -> list[int]:
-    """[p_0(r), ..., p_{n_max}(r)] from a single series power.
+    """[p_0(r), ..., p_{n_max}(r)] from a single series power, its t^n
+    coefficient times n!, with n! kept as one running product.
 
     For r <= 0 the power (1 - t - t^2)**(-r) is a polynomial of degree -2r;
     each product stops at its factors' degree sum, so it costs O(r^2), not O(n_max r).
     """
     at_least("n_max", n_max, 0)
     power = base_series(n_max) ** (-r)
-    return [_exact_int(c * factorial(n)) for n, c in enumerate(power.coefficients)]
+    factorials = accumulate(range(1, n_max + 1), mul, initial=1)
+    return [_exact_int(c * f) for c, f in zip(power.coefficients, factorials)]
 
 
 def _extend_holonomic(row: list[int], r: int, n: int) -> list[int]:
@@ -354,8 +356,8 @@ def conv_fib_poly(n: int, triangle: CoeffTriangle | None = None) -> RisingFactor
     return RisingFactorialPoly(n, rising, Poly(coeffs))
 
 
-# log(1 - t - t^2), the coefficients of -x log(1 - t - t^2) and F, at the largest order so far
-_genfun: tuple[Series, tuple[Poly, ...], Series] | None = None
+# log(1 - t - t^2) over Q and F, at the largest order so far
+_genfun: tuple[Series, Series] | None = None
 _genfun_lock = threading.Lock()
 
 
@@ -363,24 +365,22 @@ def conv_fib_poly_genfun(order: int) -> Series:
     """F = exp(x * (-log(1 - t - t^2))) = sum_N p_N(x) t^N / N! over Q[x],
     through t^order, built symbolically with no triangle involved.
 
-    The process keeps the expansion at the largest order asked for and
-    answers a smaller order with its truncation, which is exact: each
-    exp/log coefficient depends only on lower ones, and the log's do not
-    depend on the order.  A larger order extends the kept log, exponent
-    and expansion under a lock: only their new coefficients are computed,
-    so each is computed once per process.
+    The process keeps the log and the expansion at the largest order asked
+    for and answers a smaller order with its truncation, which is exact:
+    each exp/log coefficient depends only on lower ones, and the log's do
+    not depend on the order.  A larger order, under a lock, extends the
+    kept log, forms the exponent -x log in full and extends the kept
+    expansion, so each log and F coefficient is computed once per process.
     """
     global _genfun
     at_least("order", order, 0)
-    if _genfun is None or _genfun[2].order < order:
+    if _genfun is None or _genfun[1].order < order:
         with _genfun_lock:
-            log, exponent, gen = _genfun or (None, (), None)
+            log, gen = _genfun or (None, None)
             if gen is None or gen.order < order:
                 log = base_series(order).log(log)
-                lifted = Series(log.coefficients[len(exponent) :]) * -Poly.x()
-                exponent = (*exponent, *lifted.coefficients)
-                _genfun = (log, exponent, Series(exponent).exp(gen))
-    return _genfun[2].truncate(order)  # kept expansions only grow
+                _genfun = (log, (log * -Poly.x()).exp(gen))
+    return _genfun[1].truncate(order)  # kept expansions only grow
 
 
 def conv_fib_poly_oracle(n: int, order: int) -> Poly:

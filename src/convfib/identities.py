@@ -89,23 +89,18 @@ def fib_genfun_check(order: int = 200) -> VerificationReport:
     """Cross-check :func:`fib` against 1/(1 - t - t^2).
 
     Inverts 1 - t - t^2 as a series, compares every coefficient with
-    :func:`fib`, and re-derives the three-term relations F_0 = 1,
-    F_1 - F_0 = 0, F_k - F_{k-1} - F_{k-2} = 0 directly on the series
-    coefficients.
+    :func:`fib`, and re-derives F_k - F_{k-1} - F_{k-2} = 0 for every k
+    directly on the series coefficients, read after F_{-2} = 1 and
+    F_{-1} = 0, so that k = 0 and k = 1 check F_0 = 1 and F_1 = F_0.
     """
     if order < 2:
         raise UsageError("the generating-function check needs order >= 2")
     coeffs = base_series(order).inverse().coefficients
     for k, c in enumerate(coeffs):
         yield {"k": k, "check": "coefficient"}, c, fib(k)
+    padded = (1, 0, *coeffs)  # F_{-2}, F_{-1}, then F_k at index k + 2
     for k in range(order + 1):
-        if k == 0:
-            residue = coeffs[0] - 1
-        elif k == 1:
-            residue = coeffs[1] - coeffs[0]
-        else:
-            residue = coeffs[k] - coeffs[k - 1] - coeffs[k - 2]
-        yield {"k": k, "check": "recurrence"}, residue, 0
+        yield {"k": k, "check": "recurrence"}, padded[k + 2] - padded[k + 1] - padded[k], 0
 
 
 @verifier("prop1")

@@ -91,6 +91,19 @@ class TestRow:
             for n, value in enumerate(row):
                 assert value == conv_fib(n, r)
 
+    def test_row_scales_by_a_running_factorial(self, monkeypatch):
+        """n! is one running product along the row: math.factorial is never called."""
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorial(n)
+
+        monkeypatch.setattr(convolved, "factorial", counted)
+        for r in (-3, 0, 1, 5):
+            assert conv_fib_row(r, 40) == convolved._extend_holonomic([1, r], r, 40), r
+        assert calls == []
+
 
 class TestThreeAlgorithms:
     def test_nested_sum_and_recurrence_and_series_agree(self):
@@ -313,6 +326,12 @@ class TestRandomizedAgreement:
         polynomial (1 - t - t^2)**|r| expanded on plain integers."""
         for r in range(-60, 1):
             assert conv_fib_row(r, 300) == finite_power_row(-r, 300), r
+
+    @pytest.mark.parametrize("r", [1, 2, 7, 12])
+    def test_positive_rows_beyond_the_grids(self, r):
+        """For r >= 1, where the power is a full series, the row through n = 150
+        equals a fresh row of the three-term step."""
+        assert conv_fib_row(r, 150) == convolved._extend_holonomic([1, r], r, 150)
 
 
 class TestFactorialPowers:
@@ -586,10 +605,25 @@ class TestSharedExpansion:
                 conv_fib_poly_genfun(order)
         assert len(sums) == max(orders)
 
+    def test_a_rise_keeps_only_the_log_and_the_expansion(self):
+        """After orders 30 and then 40 the kept state is the pair (log over Q,
+        F), and their coefficients through t^30 are the very objects kept
+        before the rise."""
+        with cold_genfun():
+            conv_fib_poly_genfun(30)
+            log, gen = convolved._genfun
+            conv_fib_poly_genfun(40)
+            kept = convolved._genfun
+        assert isinstance(kept, tuple) and len(kept) == 2
+        for before, after in zip((log, gen), kept):
+            assert before.order == 30 and after.order == 40
+            assert all(c is d for c, d in zip(before.coefficients, after.coefficients[:31]))
+        assert kept == (base_series(40).log(), cold_expansion(40))
+
     def test_a_rise_computes_only_the_new_log_coefficients(self, monkeypatch):
         """From order 30 to 40, the log of 1 - t - t^2 over Q runs its
-        recurrence at t^31 .. t^40 alone; the kept log and exponent
-        coefficients through t^30 are the very objects kept before."""
+        recurrence at t^31 .. t^40 alone; the kept log coefficients through
+        t^30 are the very objects kept before."""
         indices = []
         dot = Series._dot
 
@@ -600,17 +634,16 @@ class TestSharedExpansion:
 
         with cold_genfun():
             conv_fib_poly_genfun(30)
-            log, exponent, _ = convolved._genfun
+            log, _ = convolved._genfun
             monkeypatch.setattr(Series, "_dot", counted)
             conv_fib_poly_genfun(40)
             monkeypatch.undo()
-            new_log, new_exponent, gen = convolved._genfun
+            new_log, gen = convolved._genfun
         assert indices == list(range(31, 41))
-        for kept, extended in ((log.coefficients, new_log.coefficients), (exponent, new_exponent)):
-            assert len(kept) == 31 and len(extended) == 41
-            assert all(c is d for c, d in zip(kept, extended))
+        kept, extended = log.coefficients, new_log.coefficients
+        assert len(kept) == 31 and len(extended) == 41
+        assert all(c is d for c, d in zip(kept, extended))
         assert new_log == base_series(40).log()
-        assert Series(new_exponent) == base_series(40).log() * -Poly.x()
         assert gen == cold_expansion(40)
 
     @pytest.mark.parametrize("warm_up", [(), (40,)])
@@ -640,7 +673,7 @@ class TestSharedExpansion:
         try:
             with cold_genfun(), ThreadPoolExecutor(max_workers=len(orders)) as pool:
                 results = list(pool.map(read, orders))
-                kept = convolved._genfun[2].order
+                kept = convolved._genfun[1].order
         finally:
             sys.setswitchinterval(interval)
         assert built.count(40) == 1 and kept == 40, built

@@ -107,6 +107,32 @@ class TestGenfunCheck:
         with pytest.raises(ValueError):
             fib_genfun_check(1)
 
+    @pytest.mark.parametrize("at", [0, 1, 5])
+    def test_recurrence_residues_of_a_perturbed_inverse(self, monkeypatch, at):
+        """With the inverse's t^at coefficient off by 7, every cell comes in
+        the same order, and every recurrence residue is that of the three
+        relations F_0 = 1, F_1 - F_0 = 0, F_k - F_{k-1} - F_{k-2} = 0."""
+        inverse = Series.inverse
+
+        def perturbed(series):
+            coeffs = list(inverse(series).coefficients)
+            coeffs[at] += 7
+            return Series(coeffs)
+
+        monkeypatch.setattr(Series, "inverse", perturbed)
+        order = 12
+        cells = list(fib_genfun_check.__wrapped__(order))
+        coeffs = [lhs for params, lhs, _ in cells if params["check"] == "coefficient"]
+        expected = [coeffs[0] - 1, coeffs[1] - coeffs[0]]
+        expected += [coeffs[k] - coeffs[k - 1] - coeffs[k - 2] for k in range(2, order + 1)]
+        assert [params for params, _, _ in cells] == [
+            {"k": k, "check": check} for check in ("coefficient", "recurrence") for k in range(order + 1)
+        ]
+        assert [(lhs, rhs) for params, lhs, rhs in cells if params["check"] == "recurrence"] == [
+            (residue, 0) for residue in expected
+        ]
+        assert any(expected)
+
     def test_report_shape(self):
         report = fib_genfun_check(5)
         doc = report.to_json_dict()
