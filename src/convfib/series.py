@@ -12,20 +12,21 @@ Equality demands the same order and identical coefficients; compare
 through a common prefix by truncating first.
 
 Products, quotients, logarithms and exponentials build each coefficient
-as one convolution sum, :meth:`Series._dot`.  Over Q[x] that sum is a
-single :func:`~convfib.poly.sum_of_products` on integer numerators,
-reduced once per coefficient; over Q the Fraction terms are added one by
-one.  A series times itself forms each product c_k c_{n-k} once and
-doubles the sum.  A product sums only through t^(deg a + deg b): every
-term of a later coefficient has a zero factor, so a polynomial's power
-costs its degree, not the order.
+as one convolution sum, :meth:`Series._dot`, over the support of a factor
+(its nonzero terms), which each operation reads once from one list.  Over
+Q[x] that sum is a single :func:`~convfib.poly.sum_of_products` on integer
+numerators, reduced once per coefficient; over Q the Fraction terms are
+added one by one.  A product sums over the shorter support and only
+through t^(deg a + deg b), each degree the last index of its support, so a
+polynomial's power costs its degree, not the order.  A series times itself
+forms each product c_k c_{n-k} once and doubles the sum.
 
 ``/``, ``log`` and ``exp`` are recurrences run by :meth:`Series._recur`:
-a / b solves q*b = a, ``inverse`` is 1 / self, ``log`` solves a*L' = a'
+a / b is one recurrence for every b_0, on a and the divisor's support
+scaled by 1/b_0 once, ``inverse`` is 1 / self, ``log`` solves a*L' = a'
 for E_n = n*L_n, then divides by n, and ``exp`` solves E' = a'E, from t^0
-or onward from a known prefix.  Only scalar divisions occur, by the
-divisor's constant term or by the index, so all of them stay inside the
-coefficient ring.
+or onward from a known prefix.  Only scalar divisions occur, by b_0 or by
+the index, so all of them stay inside the coefficient ring.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ class Series:
             acc = acc + c * seq[n - k]
         return acc
 
-    def _degree(self, order: int) -> int:  # the last nonzero index through t**order, else -1
-        return next((k for k in range(order, -1, -1) if self._coeffs[k]), -1)
+    def _support(self, order: int) -> list[tuple[int, Coeff]]:
+        """The (k, c) with c != 0 and k <= ``order``, ascending in k."""
+        return [(k, c) for k, c in enumerate(self._coeffs[: order + 1]) if c]
 
     def _recur(
         self,
@@ -207,7 +209,7 @@ class Series:
         return Series([-c for c in self._coeffs])
 
     def __mul__(self, other: Series | CoeffLike) -> Series:
-        """Scalar multiple, or Cauchy product summed only through t^(deg a + deg b)."""
+        """Scalar multiple, or Cauchy product over the shorter support through t^(deg a + deg b)."""
         if isinstance(other, (int, Fraction, Poly)):
             return Series([c * other for c in self._coeffs])
         if not isinstance(other, Series):
@@ -216,34 +218,32 @@ class Series:
             return self.lift() * other.lift()
         if other is self:
             return self._square()
-        a, b = self, other
-        order = min(a.order, b.order)
-        za = sum(1 for c in a._coeffs[: order + 1] if c)
-        zb = sum(1 for c in b._coeffs[: order + 1] if c)
-        if zb < za:
-            a, b = b, a
-        # Cauchy product; iterate only over the sparser factor's support.
-        support = [(k, c) for k, c in enumerate(a._coeffs[: order + 1]) if c]
-        top = min(order, a._degree(order) + b._degree(order))
-        out = [a._dot(support, b._coeffs, n) for n in range(top + 1)]
-        return Series(out + [a._zero_coeff()] * (order + 1 - len(out)))
+        order = min(self.order, other.order)
+        sa, sb, b = self._support(order), other._support(order), other
+        if len(sb) < len(sa):  # a tie keeps the left factor's support
+            sa, sb, b = sb, sa, self
+        top = min(order, sa[-1][0] + sb[-1][0]) if sa and sb else -1
+        out = [self._dot(sa, b._coeffs, n) for n in range(top + 1)]
+        return Series(out + [self._zero_coeff()] * (order + 1 - len(out)))
 
     __rmul__ = __mul__
 
     def _square(self) -> Series:
-        """self * self from half the products, through t^(2 deg): t^n gets twice
-        the sum of c_k c_{n-k} over k < n - k, plus c_{n/2}**2 when n is even."""
+        """self * self from half the products over its support, through t^(2 deg):
+        t^n gets twice the sum of c_k c_{n-k} over k < n - k, plus c_{n/2}**2 if n is even."""
         c = self._coeffs
-        support = [(k, v) for k, v in enumerate(c) if v]
+        support = self._support(self.order)
+        top = min(self.order, 2 * support[-1][0]) if support else -1
         out = []
-        for n in range(min(self.order, 2 * self._degree(self.order)) + 1):
+        for n in range(top + 1):
             half = self._dot(support, c, n, (n - 1) // 2)
             out.append(half + half + c[n // 2] * c[n // 2] if n % 2 == 0 else half + half)
         return Series(out + [self._zero_coeff()] * (len(c) - len(out)))
 
     def __truediv__(self, other: Series) -> Series:
-        """The q with q * other == self through the lower order, one
-        coefficient at a time: q_n = (a_n - sum_{k>=1} b_k q_{n-k}) / b_0.
+        """The q with q * other == self through the lower order, by one recurrence
+        for every b_0 on a and the divisor's support scaled by 1/b_0 once:
+        q_n = a_n/b_0 - sum_{k>=1} (b_k/b_0) q_{n-k}.
 
         Raises :class:`NonInvertibleConstantTerm` when b_0 is zero or, over
         Q[x], not a nonzero constant polynomial.
@@ -252,13 +252,10 @@ class Series:
             return NotImplemented
         if self._poly != other._poly:  # mixed rings: divide over Q[x]
             return self.lift() / other.lift()
-        a = self if self.order <= other.order else self.truncate(other.order)
-        num = a._coeffs
         b0_inv = self._invert_coeff(other._coeffs[0])
-        support = [(k, c) for k, c in enumerate(other._coeffs[: a.order + 1]) if k and c]
-        if b0_inv == 1:  # as in every division the package makes: nothing to scale
-            return a._recur(num[:1], support, lambda n, acc: num[n] - acc)
-        return a._recur([num[0] * b0_inv], support, lambda n, acc: (num[n] - acc) * b0_inv)
+        a = Series([c * b0_inv for c in self._coeffs[: other.order + 1]])
+        support = [(k, c * b0_inv) for k, c in other._support(a.order)[1:]]  # past b_0 != 0
+        return a._recur(a._coeffs[:1], support, lambda n, acc: a._coeffs[n] - acc)
 
     def inverse(self) -> Series:
         """Multiplicative inverse: self * self.inverse() == 1 through the order.
@@ -307,7 +304,7 @@ class Series:
         if self._coeffs[0] != self._one_coeff():
             raise BadConstantTerm(f"log needs constant term 1, got {self._coeffs[0]}")
         a = self._coeffs
-        support = [(k, c) for k, c in enumerate(a) if k and c]  # k = n reads E_0 = 0
+        support = self._support(self.order)[1:]  # past a_0 = 1; k = n reads E_0 = 0
         done = [self._zero_coeff()] if known is None else known.coefficients[: self.order + 1]
         start = [c * n for n, c in enumerate(done)]  # E_n of the kept L_n
         e = self._recur(start, support, lambda n, acc: a[n] * n - acc)._coeffs
@@ -325,7 +322,7 @@ class Series:
         if self._coeffs[0] != self._zero_coeff():
             raise BadConstantTerm(f"exp needs constant term 0, got {self._coeffs[0]}")
         # n * e_n = sum_{k=1..n} k a_k e_{n-k}
-        support = [(k, c * k) for k, c in enumerate(self._coeffs) if k and c]
+        support = [(k, c * k) for k, c in self._support(self.order)]  # a_0 = 0 is not in it
         start = [self._one_coeff()] if known is None else known.coefficients
         return self._recur(start, support, lambda n, acc: acc / n)
 

@@ -30,6 +30,11 @@ def list_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]
     return out
 
 
+def through_degree(coeffs: list) -> list:
+    """The coefficients through the last nonzero one; [] for the zero series."""
+    return coeffs[: max((k + 1 for k, c in enumerate(coeffs) if c), default=0)]
+
+
 def long_division(dividend: list, divisor: list) -> list:
     """Quotient digits of dividend / divisor through the dividend's length,
     by literal long division over Q or Q[x]; divisor[0] is a nonzero constant."""
@@ -81,12 +86,31 @@ class TestAddMul:
         assert (a - b).order == 5
 
     def test_mul_matches_list_convolution_oracle(self):
+        """Random dense factors over Q, then a zero series, a constant, a
+        polynomial and a dense series over both rings, in both operand orders:
+        each product is the convolution of the factors through their last
+        nonzero terms, padded with the ring's zero."""
         rng = random.Random(5)
         for _ in range(20):
             a = rand_series(rng, 6)
             b = rand_series(rng, 6)
             expected = list_mul(list(a.coefficients), list(b.coefficients), 6)
             assert list((a * b).coefficients) == expected
+        order = 6
+        rings = (("Q", Fraction(1), Fraction(0)), ("Q[x]", Poly((1, 1)), Poly.zero()))
+        for ring, unit, zero in rings:
+            shapes = [
+                [zero] * (order + 1),
+                [unit * 3] + [zero] * order,
+                [unit * (k - 1) if k <= 3 else zero for k in range(order + 1)],
+                [unit * (k + 2) for k in range(order + 1)],
+            ]
+            for a_list in shapes:
+                for b_list in shapes:
+                    a_low, b_low = through_degree(a_list), through_degree(b_list)
+                    top = min(order, len(a_low) + len(b_low) - 2) if a_low and b_low else -1
+                    want = list_mul(a_low, b_low, top) + [zero] * (order - top)
+                    assert_is(Series(a_list) * Series(b_list), want, ring)
 
 
 class TestInverse:
@@ -117,9 +141,10 @@ class TestInverse:
             Series.from_polynomial((0, 1), 4).inverse()
 
     def test_divisor_with_constant_term_one_scales_nothing(self, monkeypatch):
-        """Over Q[x], a / b scales each of the 6 quotient coefficients by
-        1/b_0 when b_0 = 2, and none when b_0 = 1; both quotients are the
-        long-division ones."""
+        """A divisor with b_0 = 1 scales nothing that one with b_0 = 2 does not:
+        over Q[x] one recurrence scales the 6 dividend coefficients and the
+        divisor's 2 nonzero later ones by 1/b_0, and nothing more; both
+        quotients are the long-division ones."""
         dividend = Series([Poly((k, 1)) for k in range(6)])  # x + k at t^k
         scaled, mul = [], Poly.__mul__
         for lead in (1, 2):
@@ -130,8 +155,9 @@ class TestInverse:
             quotient = dividend / divisor
             monkeypatch.setattr(Poly, "__mul__", mul)
             assert list(quotient.coefficients) == expected
+            assert all(q == Fraction(1, lead) for q in calls)
             scaled.append(len(calls))
-        assert scaled == [0, 6]
+        assert scaled == [8, 8]
 
 
 class TestPow:
