@@ -254,7 +254,7 @@ class Series:
             return self.lift() / other.lift()
         b0_inv = self._invert_coeff(other._coeffs[0])
         a = Series([c * b0_inv for c in self._coeffs[: other.order + 1]])
-        support = [(k, c * b0_inv) for k, c in other._support(a.order)[1:]]  # past b_0 != 0
+        support = [(k, c * b0_inv) for k, c in other._support(a.order)[1:]]  # [0] is b_0 != 0
         return a._recur(a._coeffs[:1], support, lambda n, acc: a._coeffs[n] - acc)
 
     def inverse(self) -> Series:
