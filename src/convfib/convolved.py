@@ -35,10 +35,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import factorial
 from operator import mul
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from convfib.fibonacci import fib
 from convfib.poly import Poly
@@ -109,25 +109,38 @@ def conv_fib(n: int, r: int) -> int:
     return row[n]
 
 
+def _nested_sum(n: int, levels: int, base: Sequence[int], weights: Sequence[Sequence[int]]) -> int:
+    """sum_{l_1} w(n)[l_1] sum_{l_2} w(n-l_1)[l_2] ... base[n-l_1-...-l_levels] over l_j >= 0,
+    with w(m) = ``weights[m]`` read at l <= m, term by term: no subsum is shared.  The outer
+    levels - 2 indices run on an explicit stack of open prefixes, each with its weights' product,
+    and the two innermost as C-level dot products with base[m::-1], built once per call."""
+    if levels < 2:
+        return base[n] if levels == 0 else sum(map(mul, weights[n], base[n::-1]))
+    rev = [base[m::-1] for m in range(n + 1)]
+    total, stack = 0, [(n, levels - 2, 1)]  # (m, outer levels still open, weights' product)
+    while stack:
+        m, depth, w = stack.pop()
+        if depth:
+            stack += [(m - l, depth - 1, w * weights[m][l]) for l in range(m + 1)]
+        else:  # the two innermost levels, from the one-level sums at m - l for l = 0 .. m
+            ones = map(sum, map(map, repeat(mul), weights[m::-1], rev[m::-1]))
+            total += w * sum(map(mul, weights[m], ones))
+    return total
+
+
 def conv_fib_by_nested_sum(n: int, r: int) -> int:
     """p_n(r) for r >= 1 by the literal (r-1)-fold Fibonacci sum.
 
     Evaluates n! * sum_{l_1} ... sum_{l_{r-1}} F_{l_1} ... F_{l_{r-1}}
-    F_{n - l_1 - ... - l_{r-1}} exactly as written, term by term; the cost
-    grows like n**(r-1).  F_0 .. F_n, the loop-invariant factors, are read
-    from :func:`fib` once, but every term is still formed and added.
+    F_{n - l_1 - ... - l_{r-1}} exactly as written, term by term, by
+    :func:`_nested_sum`; the cost grows like n**(r-1).  F_0 .. F_n are read
+    from :func:`fib` once per call, but every term is still formed and added.
     """
     if r < 1:
         raise UsageError("the nested-sum form needs r >= 1")
     at_least("n", n, 0)
     fibs = [fib(l) for l in range(n + 1)]
-
-    def fold(m: int, depth: int) -> int:
-        if depth == 1:  # the innermost sum runs over the list itself
-            return sum(map(mul, fibs[: m + 1], fibs[m::-1]))
-        return sum(fibs[l] * fold(m - l, depth - 1) for l in range(m + 1))
-
-    return factorial(n) * (fibs[n] if r == 1 else fold(n, r - 1))
+    return factorial(n) * _nested_sum(n, r - 1, fibs, [fibs] * (n + 1))
 
 
 def _falling_step(row: list[int], fibs: list[int], n: int) -> int:

@@ -3,13 +3,15 @@
 All eleven verifiers live here, genfun (F_n against 1/(1 - t - t^2))
 included.  Every verifier compares two independently computed sides over
 an explicit parameter grid, with exact equality and zero tolerance.
-Right-hand sides that the statements give as nested sums are evaluated by
-literal recursive loops mirroring the summation structure, never by a
-shortcut, so each check really pits two different algorithms against each
-other.  Factors that do not change inside a sum (F_l, C(n,l) p_l(r),
-(N-2i)_l) are read once per row or grid, but every term is still formed
-and added.  A verifier reads p_n(r) only through a :class:`_Rows` of its
-grid, which reads each row p_0(r), ..., p_n(r) once.  Each verifier is a
+Right-hand sides that the statements give as nested sums are evaluated
+literally, never by a shortcut, so each check really pits two different
+algorithms against each other.  thm5 and cor2 run one nested-sum engine,
+:func:`~convfib.convolved._nested_sum`: its outer levels on an explicit
+stack, its two innermost, like thm7's l terms, as dot products.  Factors
+that do not change inside a sum (F_l, C(n,l) p_l(r), (N-2i)_l) are read
+once per row or grid, but every term is still formed and added.  A
+verifier reads p_n(r) only through a :class:`_Rows` of its grid, which
+reads each row p_0(r), ..., p_n(r) once.  Each verifier is a
 generator of cells in lexicographic parameter order, and
 :func:`convfib.report.verifier` turns it into a function that reports the
 first failing cell as the counterexample.  A verifier's signature is the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import inspect
 from collections import deque
-from itertools import islice, zip_longest
+from itertools import accumulate, islice, zip_longest
 from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
@@ -31,6 +33,7 @@ from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
     _falling_step,
+    _nested_sum,
     _width,
     base_series,
     conv_fib,
@@ -113,10 +116,9 @@ def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> Ver
 def _cor2_nested(n: int, levels: int, row: list[int], weights: list[list[int]]) -> int:
     """The literal nested binomial sum with ``levels`` bound indices over
     ``row`` = [p_0(1), ..., p_n(1), ...], where ``weights[m]`` is
-    :func:`_binomial_weights` ``(row, m)`` for every m <= n."""
-    if levels == 0:
-        return row[n]
-    return sum(w * _cor2_nested(n - l, levels - 1, row, weights) for l, w in enumerate(weights[n]))
+    :func:`_binomial_weights` ``(row, m)`` for every m <= n, read once per
+    grid, by :func:`~convfib.convolved._nested_sum`, term by term."""
+    return _nested_sum(n, levels, row, weights)
 
 
 @verifier("cor2")
@@ -295,29 +297,29 @@ def verify_thm7(
         sum_i sum_l C(k,l) (N-2i)_l 2^l a_i(N) <x>_{N-i} p_{k-l}(x+N-i),
 
     evaluated literally, term by term.  Each factor is read once where it
-    stops varying: <x>_m for every x and m <= n_max once per grid,
-    C(k,l) 2^l once per k, a_i(N) <x>_{N-i} once per i, and (N-2i)_l as a
-    running product over l.
+    stops varying: <x>_m (m <= n_max) and (N-2i)_l (l <= k_max) once per
+    grid, C(k,l) 2^l (N-2i)_l once per (k, N, i), and a_i(N) <x>_{N-i}
+    factored out of the cell's dot product of those with p_{k-l}(x+N-i).
     """
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
     if not x_values:
         return  # no cells, so no factors to build
     rising = {x: [factorial_powers(x, m)[1] for m in range(n_max + 1)] for x in x_values}
+    falling = {  # (v)_0 .. (v)_{k_max} for every value v = N-2i, -1 <= v <= n_max
+        v: list(accumulate(range(v, v - k_max, -1), mul, initial=1)) for v in range(-1, n_max + 1)
+    }
     rows = _Rows(k_max + n_max)
     for k in range(k_max + 1):
         scaled = [comb(k, l) * 2**l for l in range(k + 1)]
         for n in range(n_max + 1):
+            row = triangle.row(n)
+            weights = [list(map(mul, scaled, falling[n - 2 * i])) for i in range(len(row))]
             for x in x_values:
-                rhs = 0
-                for i, a in enumerate(triangle.row(n)):
-                    outer = a * rising[x][n - i]
-                    row = rows[x + n - i]
-                    falling = 1  # (N-2i)_l, one factor more per term
-                    for l in range(k + 1):
-                        if l:
-                            falling *= n - 2 * i - l + 1
-                        rhs += scaled[l] * falling * outer * row[k - l]
+                rhs = sum(
+                    a * rising[x][n - i] * sum(map(mul, w, rows[x + n - i][k::-1]))
+                    for i, (a, w) in enumerate(zip(row, weights))
+                )
                 yield {"k": k, "N": n, "x": x}, rows[x][k + n], rhs
 
 

@@ -66,6 +66,16 @@ class TestCliBench:
             assert params in ("n=5;r=2", "n=8;r=2")
             assert float(seconds) > 0
 
+    def test_nested_sum_deeper_than_the_recursion_limit(self, capsys):
+        # p_1(1501) as 1,500 nested Fibonacci sums
+        argv = ["bench", "--sizes", "1", "--r", "1500", "--skip-triangle",
+                "--repeats", "1", "--min-time-ms", "0"]
+        assert cli.main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"{name},n=1;r=1500" for name in bench.VALUE_ALGORITHMS
+        ]
+
     def test_deterministic_modulo_timing_column(self, capsys):
         argv = ["bench", "--sizes", "4,6", "--r", "2", "--triangle-max", "8",
                 "--min-time-ms", "1", "--repeats", "1"]

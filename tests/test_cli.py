@@ -157,6 +157,16 @@ class TestVerify:
         assert doc["status"] == "pass"
         assert doc["counterexample"] is None
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "thm5", "--n-max", "0", "--r-max", "900"),
+        ("verify", "cor2", "--n-max", "0", "--r-max", "1200"),
+    ])
+    def test_nested_sums_deeper_than_the_recursion_limit_pass(self, capsys, argv):
+        # up to 900 and 1,199 levels, each one entry on the sum's own stack
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["status"] == "pass"
+
     def test_all_identities_small_grids(self, capsys):
         code, out = run_cli(
             capsys,

@@ -133,6 +133,11 @@ class TestThreeAlgorithms:
         with pytest.raises(ValueError):
             conv_fib_row_by_recurrence(0, 3)
 
+    def test_nested_sum_runs_deeper_than_the_recursion_limit(self):
+        # 1,499 levels, each of them one open entry on the sum's own stack
+        assert 1500 > sys.getrecursionlimit()
+        assert conv_fib_by_nested_sum(0, 1500) == conv_fib(0, 1500)
+
 
 # Every library entry refuses a bound below its least value with one
 # UsageError, "<name> must be >= <least>"; run_bench refuses a negative

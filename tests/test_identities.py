@@ -742,6 +742,49 @@ class TestCrossConsistency:
                 assert factorial(n) * fold(n, r) == _cor2_nested(n, r, ones, weights)
 
 
+class CountedProducts(int):
+    """A base value that counts the products which read it."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        CountedProducts.products += 1
+        return int(self) * other
+
+
+class TestLiteralNestedSums:
+    """thm5 and cor2 run one nested-sum engine, which forms every term: one
+    product with a base value per index tuple, C(n + levels, levels) of them,
+    however many of their inner sums repeat."""
+
+    @pytest.mark.parametrize("form", ["thm5", "cor2"])
+    def test_one_product_with_the_base_per_index_tuple(self, form):
+        for n in range(9):
+            if form == "thm5":  # F_l weights at every m, as conv_fib_by_nested_sum passes them
+                values = [fib(m) for m in range(n + 1)]
+                weights, nested = [values] * (n + 1), convolved._nested_sum
+            else:
+                values = [conv_fib(m, 1) for m in range(n + 1)]
+                weights, nested = [_binomial_weights(values, m) for m in range(n + 1)], _cor2_nested
+
+            def literal(m, levels):
+                if levels == 0:
+                    return values[m]
+                return sum(weights[m][l] * literal(m - l, levels - 1) for l in range(m + 1))
+
+            for levels in range(1, 6):
+                CountedProducts.products = 0
+                value = nested(n, levels, [CountedProducts(v) for v in values], weights)
+                assert value == literal(n, levels)
+                assert CountedProducts.products == comb(n + levels, levels), (n, levels)
+
+    def test_cor2_runs_deeper_than_the_recursion_limit(self):
+        # p_1(1200) as 1,199 nested binomial sums over p_0(1), p_1(1)
+        ones = [conv_fib(m, 1) for m in range(2)]
+        weights = [_binomial_weights(ones, m) for m in range(2)]
+        assert _cor2_nested(1, 1199, ones, weights) == conv_fib(1, 1200) == 1200
+
+
 class TestReports:
     def test_json_shape(self):
         doc = verify_cor2(5, 2).to_json_dict()
