@@ -113,23 +113,19 @@ def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> Ver
         yield {"n": n, "x": x}, lhs, rhs
 
 
-def _cor2_nested(n: int, levels: int, row: list[int], weights: list[list[int]]) -> int:
-    """The literal nested binomial sum with ``levels`` bound indices over
-    ``row`` = [p_0(1), ..., p_n(1), ...], where ``weights[m]`` is
-    :func:`_binomial_weights` ``(row, m)`` for every m <= n, read once per
-    grid, by :func:`~convfib.convolved._nested_sum`, term by term."""
-    return _nested_sum(n, levels, row, weights)
-
-
 @verifier("cor2")
 def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
-    """p_n(r) equals the (r-1)-fold nested binomial sum over p(1) values."""
+    """p_n(r) equals the (r-1)-fold nested binomial sum over p(1) values.
+
+    The sum runs on :func:`~convfib.convolved._nested_sum`, term by term,
+    over the weights C(m,l) p_l(1) for every m <= n_max, read once per grid.
+    """
     rows = _Rows(n_max)
     # only sums with a bound index read weights, and r = 1 has none
     weights = [_binomial_weights(rows[1], m) for m in range(n_max + 1)] if r_max > 1 else []
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            yield {"n": n, "r": r}, rows[r][n], _cor2_nested(n, r - 1, rows[1], weights)
+            yield {"n": n, "r": r}, rows[r][n], _nested_sum(n, r - 1, rows[1], weights)
 
 
 @verifier("thm3")

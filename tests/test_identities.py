@@ -28,11 +28,11 @@ from convfib.convolved import (
     conv_fib_row_by_recurrence,
     rising_factorial_poly,
 )
+from convfib.convolved import _nested_sum as _cor2_nested
 from convfib.fibonacci import fib
 from convfib.identities import (
     IDENTITY_NAMES,
     _binomial_weights,
-    _cor2_nested,
     run_identity,
     verify_cor2,
     verify_cor4,
@@ -762,10 +762,10 @@ class TestLiteralNestedSums:
         for n in range(9):
             if form == "thm5":  # F_l weights at every m, as conv_fib_by_nested_sum passes them
                 values = [fib(m) for m in range(n + 1)]
-                weights, nested = [values] * (n + 1), convolved._nested_sum
-            else:
+                weights = [values] * (n + 1)
+            else:  # C(m,l) p_l(1) weights, as verify_cor2 passes them
                 values = [conv_fib(m, 1) for m in range(n + 1)]
-                weights, nested = [_binomial_weights(values, m) for m in range(n + 1)], _cor2_nested
+                weights = [_binomial_weights(values, m) for m in range(n + 1)]
 
             def literal(m, levels):
                 if levels == 0:
@@ -774,7 +774,7 @@ class TestLiteralNestedSums:
 
             for levels in range(1, 6):
                 CountedProducts.products = 0
-                value = nested(n, levels, [CountedProducts(v) for v in values], weights)
+                value = convolved._nested_sum(n, levels, [CountedProducts(v) for v in values], weights)
                 assert value == literal(n, levels)
                 assert CountedProducts.products == comb(n + levels, levels), (n, levels)
 
