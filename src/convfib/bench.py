@@ -10,7 +10,7 @@ sub-millisecond cells.
 
 from __future__ import annotations
 
-import time
+import timeit
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -48,18 +48,13 @@ class BenchRow:
 
 
 def time_call(fn: Callable[[], object], min_seconds: float = 0.02, repeats: int = 3) -> float:
-    """Best average seconds per call over ``repeats`` measurement windows."""
-
-    def window(calls: int) -> float:
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        return time.perf_counter() - start
-
+    """Best average seconds per call over ``repeats`` measurement windows of
+    one :class:`timeit.Timer`, so the garbage collector is off while a window runs."""
+    timer = timeit.Timer(fn)
     calls = 1
-    while (elapsed := window(calls)) < min_seconds and calls < 1 << 20:
+    while (elapsed := timer.timeit(calls)) < min_seconds and calls < 1 << 20:
         calls *= 4
-    return min([elapsed, *(window(calls) for _ in range(repeats - 1))]) / calls
+    return min([elapsed, *timer.repeat(repeats - 1, calls)]) / calls
 
 
 def run_bench(

@@ -73,12 +73,15 @@ def conv_fib_row(r: int, n_max: int) -> list[int]:
     coefficient times n!, with n! kept as one running product.
 
     For r <= 0 the power (1 - t - t^2)**(-r) is a polynomial of degree -2r;
-    each product stops at its factors' degree sum, so it costs O(r^2), not O(n_max r).
+    each product stops at its factors' degree sum, so it costs O(r^2), not O(n_max r),
+    and the running factorial stops at that degree too: the rest of the row is 0.
     """
     at_least("n_max", n_max, 0)
+    last = n_max if r > 0 else min(n_max, -2 * r)
     power = base_series(n_max) ** (-r)
-    factorials = accumulate(range(1, n_max + 1), mul, initial=1)
-    return [_exact_int(c * f) for c, f in zip(power.coefficients, factorials)]
+    factorials = accumulate(range(1, last + 1), mul, initial=1)
+    row = [_exact_int(c * f) for c, f in zip(power.coefficients, factorials)]
+    return row + [0] * (n_max - last)
 
 
 def _extend_holonomic(row: list[int], r: int, n: int) -> list[int]:
@@ -113,7 +116,9 @@ def _nested_sum(n: int, levels: int, base: Sequence[int], weights: Sequence[Sequ
     """sum_{l_1} w(n)[l_1] sum_{l_2} w(n-l_1)[l_2] ... base[n-l_1-...-l_levels] over l_j >= 0,
     with w(m) = ``weights[m]`` read at l <= m, term by term: no subsum is shared.  The outer
     levels - 2 indices run on an explicit stack of open prefixes, each with its weights' product,
-    and the two innermost as C-level dot products with base[m::-1], built once per call."""
+    and the two innermost as C-level dot products with base[m::-1], built once per call.  With
+    L >= 2 levels a call pops C(n+L-1, L-2) stack entries and forms C(n+L, L) innermost
+    products, one per index tuple: at n = 1, L(L-1)/2 pops for L+1 tuples of L+1 factors."""
     if levels < 2:
         return base[n] if levels == 0 else sum(map(mul, weights[n], base[n::-1]))
     rev = [base[m::-1] for m in range(n + 1)]
@@ -228,7 +233,12 @@ def triangle_closed(n: int, i: int) -> int:
     at_least("row index", n, 0)
     if not 0 <= i < _width(n):
         raise IndexOutOfTriangle(f"a_{i}({n}) lies outside the triangle")
-    return _closed_entry(n, i, {})
+    memo: dict[tuple[int, int], int] = {}
+    # Fill the top call's memo keys depth by depth, each a full sum, so that call recurses
+    # only a few frames deep; an empty top range (the odd-row zero) fills none.
+    for d in range(1, i if n >= 2 * i else 0):
+        _chain_sum(d, n - i - d + 1, memo)
+    return _closed_entry(n, i, memo)
 
 
 def _next_row(prev: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ generator of cells in lexicographic parameter order, and
 :func:`convfib.report.verifier` turns it into a function that reports the
 first failing cell as the counterexample.  A verifier's signature is the
 one statement of its default grid, and of its report's grid;
-:func:`run_identity` runs a verifier by name and applies overrides on top
+:func:`run_identity` runs ``verify_<name>`` and applies overrides on top
 of those defaults.
 """
 
@@ -88,7 +88,7 @@ def _binomial_cells(
 
 
 @verifier("genfun")
-def fib_genfun_check(order: int = 200) -> VerificationReport:
+def verify_genfun(order: int = 200) -> VerificationReport:
     """Cross-check :func:`fib` against 1/(1 - t - t^2).
 
     Inverts 1 - t - t^2 as a series, compares every coefficient with
@@ -104,6 +104,9 @@ def fib_genfun_check(order: int = 200) -> VerificationReport:
     padded = (1, 0, *coeffs)  # F_{-2}, F_{-1}, then F_k at index k + 2
     for k in range(order + 1):
         yield {"k": k, "check": "recurrence"}, padded[k + 2] - padded[k + 1] - padded[k], 0
+
+
+fib_genfun_check = verify_genfun  # the package's public name for it
 
 
 @verifier("prop1")
@@ -411,7 +414,7 @@ def run_identity(
     if name not in IDENTITY_NAMES:
         raise KeyError(f"unknown identity {name!r} (choose from {', '.join(IDENTITY_NAMES)})")
     # Looked up at call time, so a rebound module global is the one called.
-    verifier = globals()["fib_genfun_check" if name == "genfun" else f"verify_{name}"]
+    verifier = globals()[f"verify_{name}"]
     parameters = inspect.signature(verifier).parameters
     overrides = {
         # triangle rows are indexed by N, so a verifier that takes one is bounded by N

@@ -216,7 +216,7 @@ class TestVerify:
             return verifier
 
         allow_cores(monkeypatch, 2)
-        monkeypatch.setattr(identities, "fib_genfun_check", refuse)
+        monkeypatch.setattr(identities, "verify_genfun", refuse)
         for name in IDENTITY_NAMES[1:]:
             monkeypatch.setattr(identities, f"verify_{name}", marking(name))
         assert cli.main(["verify", "all", "--jobs", "2"]) == 2
@@ -494,8 +494,9 @@ from convfib.fibonacci import fib
 tracer = Tracer()
 tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["verify", "thm6", "--N-max", "2", "--order", "6"])
-print(json.dumps({"code": code, "calls": tracer.calls}))
+    codes = [cli.main(["verify", "thm6", "--N-max", "2", "--order", "6"]),
+             cli.main(["verify", "genfun", "--order", "10"])]
+print(json.dumps({"codes": codes, "calls": tracer.calls}))
 """
 
 
@@ -506,8 +507,10 @@ def test_traced_boundaries_exist():
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["code"] == 0
+    assert result["codes"] == [0, 0]
     assert result["calls"]["identities.thm6"] == 1  # through run_identity's module global
+    # the tracer finds genfun as fib_genfun_check; run_identity calls it as verify_genfun
+    assert result["calls"]["identities.genfun"] == 1
 
 
 # A command's own modules load when it runs, not when the CLI is imported.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import inspect
 import random
 import sys
 import threading
@@ -103,6 +104,20 @@ class TestRow:
         for r in (-3, 0, 1, 5):
             assert conv_fib_row(r, 40) == convolved._extend_holonomic([1, r], r, 40), r
         assert calls == []
+
+    def test_running_factorial_stops_at_the_power_degree(self, monkeypatch):
+        """(1 - t - t^2)^3 has degree 6, so the row forms 1!, ..., 6! and no
+        later factorial: six multiplications, not one per n <= 500."""
+        products = []
+
+        def counted(a, b):
+            products.append((a, b))
+            return a * b
+
+        monkeypatch.setattr(convolved, "mul", counted)
+        row = conv_fib_row(-3, 500)
+        assert len(products) == 6
+        assert row == convolved._extend_holonomic([1, -3], -3, 500)
 
 
 class TestThreeAlgorithms:
@@ -422,6 +437,17 @@ class TestTriangleClosedForm:
         for n in range(26):
             for i in range((n + 1) // 2 + 1):
                 assert triangle_closed(n, i) == triangle.entry(n, i)
+
+    def test_deep_entry_within_a_tight_recursion_limit(self):
+        """a_119(240) = 240!/(119! 2!) with only 60 frames to spare: the top
+        call's chain sum recurses a few frames deep, not two per level."""
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            value = triangle_closed(240, 119)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert value == factorial(240) // (factorial(119) * factorial(2))
 
     def test_closed_form_table_matches_recurrence_table(self):
         assert CoeffTriangle.from_closed_form(40) == CoeffTriangle.from_recurrence(40)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convfib
 from convfib import bench, convolved, identities, poly, series
 from convfib.convolved import (
     CoeffTriangle,
@@ -836,7 +837,7 @@ class TestRunner:
         ``x_values`` sorted."""
         overrides = {"n_max": 6, "big_n_max": 4, "k_max": 4, "r_max": 2, "order": 10}
         for name in IDENTITY_NAMES:
-            attr = "fib_genfun_check" if name == "genfun" else f"verify_{name}"
+            attr = f"verify_{name}"
             verifier, calls = getattr(identities, attr), []
 
             @functools.wraps(verifier)
@@ -871,6 +872,12 @@ class TestRunner:
                 run_identity(name)
         assert [f.__module__ for f in resolved] == ["convfib.identities"] * len(IDENTITY_NAMES)
 
+    def test_genfun_is_one_object_under_each_name(self):
+        """``verify_genfun`` is the package's ``fib_genfun_check``, so a tracer
+        that rebinds every global that is the function wraps both names."""
+        assert identities.fib_genfun_check is identities.verify_genfun
+        assert convfib.fib_genfun_check is identities.verify_genfun
+
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             run_identity("nosuch")
@@ -900,7 +907,7 @@ class TestRunner:
     def test_registry_defaults_match_the_verifier_signature(self, monkeypatch, name):
         """``run_identity(name)`` calls the verifier with exactly the defaults
         of its signature, read through a ``functools.wraps`` wrapper."""
-        attr = "fib_genfun_check" if name == "genfun" else f"verify_{name}"
+        attr = f"verify_{name}"
         signature = inspect.signature(getattr(identities, attr))
         calls = []
 
