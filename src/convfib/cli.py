@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -24,7 +23,7 @@ from typing import Iterable, Optional
 from convfib.convolved import CoeffTriangle, conv_fib_poly, conv_fib_row
 from convfib.fibonacci import fib
 from convfib.identities import IDENTITY_NAMES, run_identity
-from convfib.report import CrossCheckFailure, UsageError
+from convfib.report import CrossCheckFailure, UsageError, at_least
 
 
 def _open_out(path: str, mode: str):
@@ -97,16 +96,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flag_at_least(flag: str, value: int, low: int) -> None:
-    """Refuse ``value`` of ``flag`` below ``low``, naming the value given."""
-    if value < low:
-        raise UsageError(f"{flag} must be >= {low}, got {value}")
-
-
 def _worker_count(jobs: int, tasks: int) -> int:
     """Processes worth starting: never more than tasks, or than the cores
     this process may run on (its affinity mask, where the platform has one)."""
-    _flag_at_least("--jobs", jobs, 1)
+    at_least("--jobs", jobs, 1)
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -146,14 +139,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    _flag_at_least("--sizes", min(args.sizes, default=0), 0)
-    _flag_at_least("--repeats", args.repeats, 1)
-    _flag_at_least("--r", args.r, 1)
-    _flag_at_least("--triangle-max", args.triangle_max, 0)
-    if not 0 <= args.min_time_ms < math.inf:
-        raise UsageError(f"--min-time-ms must be a finite number >= 0, got {args.min_time_ms}")
-    if args.min_time_ms > 10_000:
-        raise UsageError(f"--min-time-ms must be at most 10000, got {args.min_time_ms}")
+    at_least("--sizes", min(args.sizes, default=0), 0)
+    at_least("--repeats", args.repeats, 1)
+    at_least("--r", args.r, 1)
+    at_least("--triangle-max", args.triangle_max, 0)
+    if not 0 <= args.min_time_ms <= 10_000:  # NaN compares false, so it is refused too
+        raise UsageError(f"--min-time-ms must be from 0 to 10000, got {args.min_time_ms}")
     from convfib import bench
     results = bench.run_bench(
         args.sizes,

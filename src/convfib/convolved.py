@@ -141,8 +141,7 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
     :func:`_nested_sum`; the cost grows like n**(r-1).  F_0 .. F_n are read
     from :func:`fib` once per call, but every term is still formed and added.
     """
-    if r < 1:
-        raise UsageError("the nested-sum form needs r >= 1")
+    at_least("r", r, 1)
     at_least("n", n, 0)
     fibs = [fib(l) for l in range(n + 1)]
     return factorial(n) * _nested_sum(n, r - 1, fibs, [fibs] * (n + 1))
@@ -151,11 +150,10 @@ def conv_fib_by_nested_sum(n: int, r: int) -> int:
 def _falling_step(row: list[int], fibs: list[int], n: int) -> int:
     """p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l from ``row`` = [p_0(j), ..., p_n(j), ...]
     and ``fibs`` = [F_0, ..., F_n, ...]."""
-    acc, falling = 0, 1  # falling = (n)_l, one factor more per term
+    acc, falling = 0, 1  # falling = (n)_l, one factor more after each term
     for l in range(n + 1):
-        if l:
-            falling *= n - l + 1
         acc += falling * row[n - l] * fibs[l]
+        falling *= n - l
     return acc
 
 
@@ -164,8 +162,7 @@ def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
     p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l up from the row p_n(1) = n! F_n.
     F_0 .. F_{n_max} are read from :func:`fib` once.
     """
-    if r < 1:
-        raise UsageError("the recurrence form needs r >= 1")
+    at_least("r", r, 1)
     at_least("n_max", n_max, 0)
     fibs = [fib(n) for n in range(n_max + 1)]
     row = [factorial(n) * f for n, f in enumerate(fibs)]

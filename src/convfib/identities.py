@@ -10,8 +10,10 @@ algorithms against each other.  thm5 and cor2 run one nested-sum engine,
 stack, its two innermost, like thm7's l terms, as dot products.  Factors
 that do not change inside a sum (F_l, C(n,l) p_l(r), (N-2i)_l) are read
 once per row or grid, but every term is still formed and added.  A
-verifier reads p_n(r) only through a :class:`_Rows` of its grid, which
-reads each row p_0(r), ..., p_n(r) once.  Each verifier is a
+verifier reads p_n(r) through a :class:`_Rows` of its grid, which reads
+each row p_0(r), ..., p_n(r) once; prop1, thm3 and cor2 read their
+right side's p_l(r) from the falling-factorial row instead, so no value
+identity reads its values from ``conv_fib`` alone.  Each verifier is a
 generator of cells in lexicographic parameter order, and
 :func:`convfib.report.verifier` turns it into a function that reports the
 first failing cell as the counterexample.  A verifier's signature is the
@@ -42,7 +44,7 @@ from convfib.convolved import (
     conv_fib_poly_genfun,
     conv_fib_poly_oracle,
     conv_fib_row,
-    factorial_powers,
+    conv_fib_row_by_recurrence,
 )
 from convfib.fibonacci import fib
 from convfib.poly import _reduced
@@ -76,13 +78,15 @@ def _binomial_cells(
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """(n, r, x, p_n(x), sum_l C(n,l) p_l(r) p_{n-l}(x-r)) for n <= n_max,
     then r in ``r_values``, then x in ``x_values``: the product rule
-    F(t,x) = F(t,r) F(t,x-r) read off at t^n/n!."""
+    F(t,x) = F(t,r) F(t,x-r) read off at t^n/n!.  The factors p_l(r) come
+    from the falling-factorial row, built from F_l, and the rest from
+    :class:`_Rows`, so a ``conv_fib`` on the wrong base fails."""
     if not x_values:
         return  # no cells, so no factors to build
-    rows = _Rows(n_max)
+    rows, falling = _Rows(n_max), {r: conv_fib_row_by_recurrence(r, n_max) for r in r_values}
     for n in range(n_max + 1):
         for r in r_values:
-            weights = _binomial_weights(rows[r], n)
+            weights = _binomial_weights(falling[r], n)
             for x in x_values:
                 yield n, r, x, rows[x][n], sum(map(mul, weights, rows[x - r][n::-1]))
 
@@ -96,8 +100,7 @@ def verify_genfun(order: int = 200) -> VerificationReport:
     directly on the series coefficients, read after F_{-2} = 1 and
     F_{-1} = 0, so that k = 0 and k = 1 check F_0 = 1 and F_1 = F_0.
     """
-    if order < 2:
-        raise UsageError("the generating-function check needs order >= 2")
+    at_least("order", order, 2)
     coeffs = base_series(order).inverse().coefficients
     for k, c in enumerate(coeffs):
         yield {"k": k, "check": "coefficient"}, c, fib(k)
@@ -122,13 +125,15 @@ def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
 
     The sum runs on :func:`~convfib.convolved._nested_sum`, term by term,
     over the weights C(m,l) p_l(1) for every m <= n_max, read once per grid.
+    Its p(1) values are the falling-factorial row p_n(1) = n! F_n, and the
+    left side reads :class:`_Rows`.
     """
-    rows = _Rows(n_max)
+    rows, base = _Rows(n_max), conv_fib_row_by_recurrence(1, n_max)
     # only sums with a bound index read weights, and r = 1 has none
-    weights = [_binomial_weights(rows[1], m) for m in range(n_max + 1)] if r_max > 1 else []
+    weights = [_binomial_weights(base, m) for m in range(n_max + 1)] if r_max > 1 else []
     for n in range(n_max + 1):
         for r in range(1, r_max + 1):
-            yield {"n": n, "r": r}, rows[r][n], _nested_sum(n, r - 1, rows[1], weights)
+            yield {"n": n, "r": r}, rows[r][n], _nested_sum(n, r - 1, base, weights)
 
 
 @verifier("thm3")
@@ -304,7 +309,7 @@ def verify_thm7(
         triangle = CoeffTriangle.from_recurrence(n_max)
     if not x_values:
         return  # no cells, so no factors to build
-    rising = {x: [factorial_powers(x, m)[1] for m in range(n_max + 1)] for x in x_values}
+    rising = {x: list(accumulate(range(x, x + n_max), mul, initial=1)) for x in x_values}
     falling = {  # (v)_0 .. (v)_{k_max} for every value v = N-2i, -1 <= v <= n_max
         v: list(accumulate(range(v, v - k_max, -1), mul, initial=1)) for v in range(-1, n_max + 1)
     }
@@ -360,16 +365,9 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
     rows = _Rows(n_max)
     for n in range(n_max + 1):
         row = triangle.row(n)
-        yield (
-            {"N": n, "check": "fib-minus-one"},
-            factorial(n) * (fib(n) - 1),
-            sum(a * factorial(n - i) for i, a in enumerate(row) if i >= 1),
-        )
-        yield (
-            {"N": n, "check": "value-at-one"},
-            rows[1][n],
-            sum(a * factorial(n - i) for i, a in enumerate(row)),
-        )
+        tail = sum(a * factorial(n - i) for i, a in enumerate(row[1:], 1))
+        yield {"N": n, "check": "fib-minus-one"}, factorial(n) * (fib(n) - 1), tail
+        yield {"N": n, "check": "value-at-one"}, rows[1][n], row[0] * factorial(n) + tail
 
 
 @verifier("holo")

@@ -14,9 +14,10 @@ class UsageError(ValueError):
 
 
 def at_least(name: str, value: int, low: int) -> None:
-    """Refuse ``value`` below ``low`` with ``UsageError("<name> must be >= <low>")``."""
+    """Refuse ``value`` below ``low`` with ``UsageError("<name> must be >= <low>, got <value>")``:
+    the package's one lower-bound refusal, for parameters and CLI flags alike."""
     if value < low:
-        raise UsageError(f"{name} must be >= {low}")
+        raise UsageError(f"{name} must be >= {low}, got {value}")
 
 
 class CrossCheckFailure(RuntimeError):

@@ -36,7 +36,7 @@ from convfib.convolved import (
     triangle_recurrence,
 )
 from convfib.fibonacci import fib
-from convfib.identities import verify_cor8
+from convfib.identities import verify_cor8, verify_genfun
 from convfib.poly import Poly
 from convfib.report import UsageError, VerificationReport
 from convfib.series import Series
@@ -155,26 +155,47 @@ class TestThreeAlgorithms:
 
 
 # Every library entry refuses a bound below its least value with one
-# UsageError, "<name> must be >= <least>"; run_bench refuses a negative
-# size through the nested sum, before math.factorial sees it.
+# UsageError, "<name> must be >= <least>, got <value>"; run_bench refuses a
+# negative size through the nested sum, before math.factorial sees it.
 NEGATIVE_BOUNDS = [
-    pytest.param(conv_fib_row, (1, -1), "n_max must be >= 0", id="conv_fib_row"),
+    pytest.param(conv_fib_row, (1, -1), "n_max must be >= 0, got -1", id="conv_fib_row"),
     pytest.param(
-        conv_fib_row_by_recurrence, (1, -1), "n_max must be >= 0", id="conv_fib_row_by_recurrence"
+        conv_fib_row_by_recurrence, (1, -1), "n_max must be >= 0, got -1",
+        id="conv_fib_row_by_recurrence",
     ),
-    pytest.param(CoeffTriangle.from_recurrence, (-1,), "n_max must be >= 0", id="from_recurrence"),
-    pytest.param(CoeffTriangle.from_closed_form, (-1,), "n_max must be >= 0", id="from_closed_form"),
-    pytest.param(conv_fib, (-1, 1), "n must be >= 0", id="conv_fib"),
-    pytest.param(conv_fib_poly, (-1,), "n must be >= 0", id="conv_fib_poly"),
-    pytest.param(conv_fib_poly_oracle, (-1, 4), "n must be >= 0", id="conv_fib_poly_oracle"),
-    pytest.param(conv_fib_by_nested_sum, (-1, 2), "n must be >= 0", id="conv_fib_by_nested_sum"),
-    pytest.param(factorial_powers, (3, -1), "l must be >= 0", id="factorial_powers"),
-    pytest.param(rising_factorial_poly, (-1,), "k must be >= 0", id="rising_factorial_poly"),
-    pytest.param(triangle_closed, (-1, 0), "row index must be >= 0", id="triangle_closed"),
-    pytest.param(Series.from_polynomial, ((1,), -1), "order must be >= 0", id="from_polynomial"),
-    pytest.param(Series.one(3).truncate, (-1,), "order must be >= 0", id="truncate"),
-    pytest.param(bench.run_bench, ([2], 0), "depth must be >= 1", id="run_bench-depth"),
-    pytest.param(bench.run_bench, ([-1],), "n must be >= 0", id="run_bench-sizes"),
+    pytest.param(
+        conv_fib_row_by_recurrence, (0, 3), "r must be >= 1, got 0",
+        id="conv_fib_row_by_recurrence-r",
+    ),
+    pytest.param(
+        CoeffTriangle.from_recurrence, (-1,), "n_max must be >= 0, got -1", id="from_recurrence"
+    ),
+    pytest.param(
+        CoeffTriangle.from_closed_form, (-1,), "n_max must be >= 0, got -1", id="from_closed_form"
+    ),
+    pytest.param(conv_fib, (-1, 1), "n must be >= 0, got -1", id="conv_fib"),
+    pytest.param(conv_fib_poly, (-1,), "n must be >= 0, got -1", id="conv_fib_poly"),
+    pytest.param(
+        conv_fib_poly_oracle, (-1, 4), "n must be >= 0, got -1", id="conv_fib_poly_oracle"
+    ),
+    pytest.param(
+        conv_fib_by_nested_sum, (-1, 2), "n must be >= 0, got -1", id="conv_fib_by_nested_sum"
+    ),
+    pytest.param(
+        conv_fib_by_nested_sum, (3, 0), "r must be >= 1, got 0", id="conv_fib_by_nested_sum-r"
+    ),
+    pytest.param(factorial_powers, (3, -1), "l must be >= 0, got -1", id="factorial_powers"),
+    pytest.param(
+        rising_factorial_poly, (-1,), "k must be >= 0, got -1", id="rising_factorial_poly"
+    ),
+    pytest.param(triangle_closed, (-1, 0), "row index must be >= 0, got -1", id="triangle_closed"),
+    pytest.param(
+        Series.from_polynomial, ((1,), -1), "order must be >= 0, got -1", id="from_polynomial"
+    ),
+    pytest.param(Series.one(3).truncate, (-1,), "order must be >= 0, got -1", id="truncate"),
+    pytest.param(bench.run_bench, ([2], 0), "depth must be >= 1, got 0", id="run_bench-depth"),
+    pytest.param(bench.run_bench, ([-1],), "n must be >= 0, got -1", id="run_bench-sizes"),
+    pytest.param(verify_genfun, (1,), "order must be >= 2, got 1", id="verify_genfun"),
 ]
 
 
@@ -682,9 +703,9 @@ class TestSharedExpansion:
         with cold_genfun():
             for order in warm_up:
                 conv_fib_poly_genfun(order)
-            with pytest.raises(UsageError, match=r"^order must be >= 0$"):
+            with pytest.raises(UsageError, match=r"^order must be >= 0, got -1$"):
                 conv_fib_poly_genfun(-1)
-            with pytest.raises(UsageError, match=r"^order must be >= 0$"):
+            with pytest.raises(UsageError, match=r"^order must be >= 0, got -1$"):
                 verify_cor8(n_max=-1)
 
     def test_parallel_orders_read_as_cold(self, monkeypatch):

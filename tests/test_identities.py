@@ -197,9 +197,11 @@ class TestThm3:
 
 
 class TestHoistedFactors:
-    """Factors read once per row or grid still come through the module
-    global ``conv_fib``, and cells are scanned in the same order: a value
-    off by one at one point fails at the first cell that reads it."""
+    """Factors read once per row or grid still come through module globals,
+    ``conv_fib`` and, for the weights of prop1, thm3 and cor2, the
+    falling-factorial row ``conv_fib_row_by_recurrence``, and cells are
+    scanned in the same order: a value off by one at one point fails at the
+    first cell that reads it."""
 
     @staticmethod
     def wrong_at(monkeypatch, point):
@@ -208,9 +210,18 @@ class TestHoistedFactors:
 
         monkeypatch.setattr(identities, "conv_fib", wrong)
 
+    @staticmethod
+    def falling_row_wrong_at(monkeypatch, point):
+        def wrong(r, n_max):
+            row = conv_fib_row_by_recurrence(r, n_max)
+            return [p + ((n, r) == point) for n, p in enumerate(row)]
+
+        monkeypatch.setattr(identities, "conv_fib_row_by_recurrence", wrong)
+
     def test_prop1_weight_off_by_one(self, monkeypatch):
-        # p_3(1) is the l = 3 weight of every n = 3 cell; there p_0(x-1) = 1
-        self.wrong_at(monkeypatch, (3, 1))
+        # p_3(1) is the l = 3 weight of every n = 3 cell; there p_0(x-1) = 1,
+        # so at x = -3 the sum is p_3(-3) + 1 = 31 against p_3(-3) = 30
+        self.falling_row_wrong_at(monkeypatch, (3, 1))
         report = verify_prop1()
         assert report.counterexample == {"params": {"n": 3, "x": -3}, "lhs": "30", "rhs": "31"}
         assert report.cells == 3 * 12 + 1
@@ -220,7 +231,7 @@ class TestHoistedFactors:
         # n <= 1 cell reads it.  At x = -2, with p_0..p_2(-3) = 1, -3, 0:
         # rhs = p_2(-3) + 2 p_1(1) p_1(-3) + 5 p_0(-3) = 0 - 6 + 5 = -1,
         # against p_2(-2) = 4 - 6 = -2
-        self.wrong_at(monkeypatch, (2, 1))
+        self.falling_row_wrong_at(monkeypatch, (2, 1))
         report = verify_thm3()
         assert report.counterexample == {
             "params": {"n": 2, "r": 1, "x": -2}, "lhs": "-2", "rhs": "-1"
@@ -229,11 +240,12 @@ class TestHoistedFactors:
         assert report.cells == 2 * 6 * 11 + 1
 
     def test_cor2_weight_off_by_one(self, monkeypatch):
-        # at r = 1 both sides read p_5(1); at r = 2 it is the first and the last term
-        self.wrong_at(monkeypatch, (5, 1))
+        # the r = 1 sum is the falling row's p_5(1) = 5! F_5 = 960, here 961,
+        # and the left side reads p_5(1) from conv_fib; r = 1 comes before r = 2
+        self.falling_row_wrong_at(monkeypatch, (5, 1))
         report = verify_cor2()
-        assert report.counterexample == {"params": {"n": 5, "r": 2}, "lhs": "4560", "rhs": "4562"}
-        assert report.cells == 5 * 4 + 2
+        assert report.counterexample == {"params": {"n": 5, "r": 1}, "lhs": "960", "rhs": "961"}
+        assert report.cells == 5 * 4 + 1
 
     def test_thm7_inner_value_off_by_one(self, monkeypatch):
         # first read at k = 1, l = 0, i = 0, N = 2, x = 5, with factor <5>_2 = 30
@@ -274,6 +286,41 @@ class TestHoistedFactors:
     def test_cor2_at_r_one_builds_no_weights(self, monkeypatch):
         self.refuse_comb(monkeypatch)
         assert verify_cor2(r_max=1).passed
+
+
+def conv_fib_on_base(a: int, b: int):
+    """p_n(r) for the base 1 - a t - b t^2, by its three-term step
+    p_{m+1} = a(m+r) p_m + b m(m-1+2r) p_{m-1}, p_0 = 1, p_1 = a r;
+    (a, b) = (1, 1) is conv_fib's own step."""
+    rows: dict[int, list[int]] = {}
+
+    def on_base(n: int, r: int) -> int:
+        row = rows.setdefault(r, [1, a * r])
+        for m in range(len(row) - 1, n):
+            row.append(a * (m + r) * row[m] + b * m * (m - 1 + 2 * r) * row[m - 1])
+        return row[n]
+
+    return on_base
+
+
+# identities that read no value of conv_fib, so a wrong base cannot fail them
+READ_NO_VALUES = ("genfun", "thm6")
+
+
+class TestWrongBase:
+    """Every value identity pits conv_fib against an algorithm of its own:
+    with conv_fib built on the Pell or Jacobsthal base instead, each of them
+    fails at its default grid."""
+
+    def test_the_fibonacci_base_is_conv_fib(self):
+        on_base = conv_fib_on_base(1, 1)
+        assert all(on_base(n, r) == conv_fib(n, r) for r in range(-4, 7) for n in range(30))
+
+    @pytest.mark.parametrize("a, b", [(2, 1), (1, 2)], ids=["pell", "jacobsthal"])
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_every_value_identity_fails(self, monkeypatch, name, a, b):
+        monkeypatch.setattr(identities, "conv_fib", conv_fib_on_base(a, b))
+        assert run_identity(name).passed == (name in READ_NO_VALUES)
 
 
 class TestSharedRowCode:
@@ -371,12 +418,12 @@ class TestWorkDoneOnce:
     # distinct argument s, up to the largest n it needs there: at most
     # (number of arguments) * (n + 1) calls.
     @pytest.mark.parametrize("name,bound", [
-        # n <= 50 at x = -3..8, x - 1 = -4..7 and the weights' 1: -4..8
+        # n <= 50 at x = -3..8 and x - 1 = -4..7 (the weights read the falling row)
         ("prop1", 13 * 51),
-        # n <= 20: left sides at r = 1..4; weights and leaves at r = 1
+        # n <= 20: left sides at r = 1..4 (weights and leaves read the falling row)
         ("cor2", 4 * 21),
-        # n <= 40: weights at r = 1..6, left sides at x = -2..8, right
-        # sides at x - r = -8..7; their union is -8..8
+        # n <= 40: left sides at x = -2..8, right sides at x - r = -8..7,
+        # so -8..8 (the weights read the falling row)
         ("thm3", 17 * 41),
         # n <= 60: left sides at r + 1 = 2..7, right sides at r = 1..6
         ("cor4", 7 * 61),
