@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import factorial
 from operator import mul
 from typing import Iterator, Sequence
@@ -157,18 +157,25 @@ def _falling_step(row: list[int], fibs: list[int], n: int) -> int:
     return acc
 
 
-def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
-    """[p_0(r), ..., p_{n_max}(r)] for r >= 1 by iterating the step
-    p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l up from the row p_n(1) = n! F_n.
-    F_0 .. F_{n_max} are read from :func:`fib` once.
-    """
-    at_least("r", r, 1)
+def _falling_rows(n_max: int) -> Iterator[list[int]]:
+    """The rows p(1), p(2), ..., each [p_0(r), ..., p_{n_max}(r)]: first
+    p_n(1) = n! F_n, then each row by one :func:`_falling_step` per value
+    from the row before.  F_0 .. F_{n_max} are read from :func:`fib` once."""
     at_least("n_max", n_max, 0)
     fibs = [fib(n) for n in range(n_max + 1)]
     row = [factorial(n) * f for n, f in enumerate(fibs)]
-    for _ in range(r - 1):
+    while True:
+        yield row
         row = [_falling_step(row, fibs, n) for n in range(n_max + 1)]
-    return row
+
+
+def conv_fib_row_by_recurrence(r: int, n_max: int) -> list[int]:
+    """[p_0(r), ..., p_{n_max}(r)] for r >= 1 by iterating the step
+    p_n(j+1) = sum_l (n)_l p_{n-l}(j) F_l up from the row p_n(1) = n! F_n:
+    the r-th row of :func:`_falling_rows`, which refuses n_max < 0.
+    """
+    at_least("r", r, 1)
+    return next(islice(_falling_rows(n_max), r - 1, None))
 
 
 # -- factorial powers --------------------------------------------------------

@@ -12,28 +12,31 @@ that do not change inside a sum (F_l, C(n,l) p_l(r), (N-2i)_l) are read
 once per row or grid, but every term is still formed and added.  A
 verifier reads p_n(r) through a :class:`_Rows` of its grid, which reads
 each row p_0(r), ..., p_n(r) once; prop1, thm3 and cor2 read their
-right side's p_l(r) from the falling-factorial row instead, so no value
-identity reads its values from ``conv_fib`` alone.  Each verifier is a
-generator of cells in lexicographic parameter order, and
-:func:`convfib.report.verifier` turns it into a function that reports the
-first failing cell as the counterexample.  A verifier's signature is the
-one statement of its default grid, and of its report's grid;
-:func:`run_identity` runs ``verify_<name>`` and applies overrides on top
-of those defaults.
+right side's p_l(r) from the falling-factorial rows instead, so no value
+identity reads its values from ``conv_fib`` alone.  Each verifier,
+``verify_<name>``, is a generator of cells in lexicographic parameter
+order, and :func:`verifier` turns it into a function that reports the
+identity ``<name>`` with the first failing cell as the counterexample.
+Its definition is the one statement of the identity: its place here is
+its place in :data:`IDENTITY_NAMES` and ``verify all``, and its signature
+is its default grid and its report's grid.  :func:`run_identity` runs
+``verify_<name>`` with overrides on top of those defaults.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from collections import deque
 from itertools import accumulate, islice, zip_longest
 from math import comb, factorial, gcd, lcm
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from convfib.convolved import (
     CoeffTriangle,
     TruncationTooShort,
+    _falling_rows,
     _falling_step,
     _nested_sum,
     _width,
@@ -48,7 +51,41 @@ from convfib.convolved import (
 )
 from convfib.fibonacci import fib
 from convfib.poly import _reduced
-from convfib.report import UsageError, VerificationReport, at_least, verifier
+from convfib.report import UsageError, VerificationReport, at_least
+
+_PREFIX = "verify_"  # verify_<name> is the verifier of the identity <name>
+
+
+def verifier(cells: Callable[..., Iterable[tuple[dict[str, Any], object, object]]]):
+    """Turn ``verify_<name>``, a generator of ``(params, lhs, rhs)`` cells in
+    lexicographic parameter order, into a verifier that returns a report of
+    the identity ``<name>``.
+
+    The generator gets the defaults of its signature and ``x_values`` as a
+    sorted list; the report's grid is those arguments, less ``triangle``.
+    The first cell whose sides differ is the counterexample.  A grid with no
+    cell raises :class:`UsageError`, so a pass means that cells were checked.
+    """
+    identity, signature = cells.__name__.removeprefix(_PREFIX), inspect.signature(cells)
+
+    @functools.wraps(cells)
+    def run(*args: Any, **kwargs: Any) -> VerificationReport:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        if "x_values" in bound.arguments:
+            bound.arguments["x_values"] = sorted(bound.arguments["x_values"])
+        grid = {key: value for key, value in bound.arguments.items() if key != "triangle"}
+        count = 0
+        for params, lhs, rhs in cells(*bound.args, **bound.kwargs):
+            count += 1
+            if lhs != rhs:
+                counterexample = {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
+                return VerificationReport(identity, grid, count, "fail", counterexample)
+        if not count:
+            raise UsageError(f"{identity}: the grid {grid} has no cells to check")
+        return VerificationReport(identity, grid, count, "pass")
+
+    return run
 
 
 class _Rows(dict):
@@ -74,24 +111,25 @@ def _binomial_weights(row: list[int], n: int) -> list[int]:
 
 
 def _binomial_cells(
-    n_max: int, r_values: Iterable[int], x_values: list[int]
+    n_max: int, r_max: int, x_values: list[int]
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """(n, r, x, p_n(x), sum_l C(n,l) p_l(r) p_{n-l}(x-r)) for n <= n_max,
-    then r in ``r_values``, then x in ``x_values``: the product rule
-    F(t,x) = F(t,r) F(t,x-r) read off at t^n/n!.  The factors p_l(r) come
-    from the falling-factorial row, built from F_l, and the rest from
-    :class:`_Rows`, so a ``conv_fib`` on the wrong base fails."""
+    then 1 <= r <= r_max, then x in ``x_values``: the product rule
+    F(t,x) = F(t,r) F(t,x-r) read off at t^n/n!.  The factors p_l(r) are the
+    first r_max rows of one falling-factorial walk, built from F_l, and the
+    rest come from :class:`_Rows`, so a ``conv_fib`` on the wrong base fails."""
     if not x_values:
         return  # no cells, so no factors to build
-    rows, falling = _Rows(n_max), {r: conv_fib_row_by_recurrence(r, n_max) for r in r_values}
+    # zip asks the walk for no row past r_max, and for none when r_max <= 0
+    rows, falling = _Rows(n_max), [row for _, row in zip(range(r_max), _falling_rows(n_max))]
     for n in range(n_max + 1):
-        for r in r_values:
-            weights = _binomial_weights(falling[r], n)
+        for r, row in enumerate(falling, 1):
+            weights = _binomial_weights(row, n)
             for x in x_values:
                 yield n, r, x, rows[x][n], sum(map(mul, weights, rows[x - r][n::-1]))
 
 
-@verifier("genfun")
+@verifier
 def verify_genfun(order: int = 200) -> VerificationReport:
     """Cross-check :func:`fib` against 1/(1 - t - t^2).
 
@@ -112,14 +150,14 @@ def verify_genfun(order: int = 200) -> VerificationReport:
 fib_genfun_check = verify_genfun  # the package's public name for it
 
 
-@verifier("prop1")
+@verifier
 def verify_prop1(n_max: int = 50, x_values: Iterable[int] = range(-3, 9)) -> VerificationReport:
     """p_n(x) = sum_l C(n,l) p_l(1) p_{n-l}(x-1) over the (n, x) grid: thm3's cells at r = 1."""
-    for n, _, x, lhs, rhs in _binomial_cells(n_max, [1], x_values):
+    for n, _, x, lhs, rhs in _binomial_cells(n_max, 1, x_values):
         yield {"n": n, "x": x}, lhs, rhs
 
 
-@verifier("cor2")
+@verifier
 def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
     """p_n(r) equals the (r-1)-fold nested binomial sum over p(1) values.
 
@@ -136,7 +174,7 @@ def verify_cor2(n_max: int = 20, r_max: int = 4) -> VerificationReport:
             yield {"n": n, "r": r}, rows[r][n], _nested_sum(n, r - 1, base, weights)
 
 
-@verifier("thm3")
+@verifier
 def verify_thm3(
     n_max: int = 40, r_max: int = 6, x_values: Iterable[int] = range(-2, 9)
 ) -> VerificationReport:
@@ -146,11 +184,11 @@ def verify_thm3(
     Since C(n,l) = C(n,n-l), the substitution l -> n-l maps it onto this
     sum term for term, whatever values p takes, so it is not summed again.
     """
-    for n, r, x, lhs, rhs in _binomial_cells(n_max, range(1, r_max + 1), x_values):
+    for n, r, x, lhs, rhs in _binomial_cells(n_max, r_max, x_values):
         yield {"n": n, "r": r, "x": x}, lhs, rhs
 
 
-@verifier("cor4")
+@verifier
 def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
     """p_n(r+1) = sum_l (n)_l p_{n-l}(r) F_l, the step the falling-factorial row iterates."""
     rows, fibs = _Rows(n_max), [fib(l) for l in range(n_max + 1)]
@@ -159,7 +197,7 @@ def verify_cor4(n_max: int = 60, r_max: int = 6) -> VerificationReport:
             yield {"n": n, "r": r}, rows[r + 1][n], _falling_step(rows[r], fibs, n)
 
 
-@verifier("thm5")
+@verifier
 def verify_thm5(n_max: int = 25, r_max: int = 4) -> VerificationReport:
     """p_n(r+1)/n! equals the r-fold nested Fibonacci convolution sum."""
     rows = _Rows(n_max)
@@ -233,7 +271,7 @@ def _thm6_shift(hurwitz: list[list[int]], n_max: int, triangle: CoeffTriangle) -
     return (largest * weight).bit_length() + 1
 
 
-@verifier("thm6")
+@verifier
 def verify_thm6(
     n_max: int = 10, order: int = 30, triangle: Optional[CoeffTriangle] = None
 ) -> VerificationReport:
@@ -289,7 +327,7 @@ def verify_thm6(
         yield {"N": n, "t_power": k}, lhs, rhs
 
 
-@verifier("thm7")
+@verifier
 def verify_thm7(
     k_max: int = 20,
     n_max: int = 8,
@@ -327,7 +365,7 @@ def verify_thm7(
                 yield {"k": k, "N": n, "x": x}, rows[x][k + n], rhs
 
 
-@verifier("cor8")
+@verifier
 def verify_cor8(
     n_max: int = 40,
     x_values: Iterable[int] = range(-5, 11),
@@ -352,7 +390,7 @@ def verify_cor8(
             yield {"N": n, "x": x}, poly.evaluate(x), rows[x][n]
 
 
-@verifier("cor9")
+@verifier
 def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> VerificationReport:
     """N!(F_N - 1) = sum_{i>=1} a_i(N) (N-i)!, plus the i = 0 completion.
 
@@ -370,7 +408,7 @@ def verify_cor9(n_max: int = 50, triangle: Optional[CoeffTriangle] = None) -> Ve
         yield {"N": n, "check": "value-at-one"}, rows[1][n], row[0] * factorial(n) + tail
 
 
-@verifier("holo")
+@verifier
 def verify_holo(n_max: int = 40, r_max: int = 9) -> VerificationReport:
     """p_n(r) from the cached three-term recurrence against n! [t^n] of the
     series power (1 - t - t^2)**(-r), one power per r in [-r_max, r_max]."""
@@ -383,10 +421,8 @@ def verify_holo(n_max: int = 40, r_max: int = 9) -> VerificationReport:
 
 # -- uniform runner -----------------------------------------------------------
 
-# The order of `verify all`.  Each default grid is the verifier's signature.
-IDENTITY_NAMES = (
-    "genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "thm6", "thm7", "cor8", "cor9", "holo"
-)
+# The order of `verify all`: the order of the verifiers' definitions above.
+IDENTITY_NAMES = tuple(key.removeprefix(_PREFIX) for key in globals() if key.startswith(_PREFIX))
 
 
 def run_identity(
@@ -412,7 +448,7 @@ def run_identity(
     if name not in IDENTITY_NAMES:
         raise KeyError(f"unknown identity {name!r} (choose from {', '.join(IDENTITY_NAMES)})")
     # Looked up at call time, so a rebound module global is the one called.
-    verifier = globals()[f"verify_{name}"]
+    verifier = globals()[_PREFIX + name]
     parameters = inspect.signature(verifier).parameters
     overrides = {
         # triangle rows are indexed by N, so a verifier that takes one is bounded by N

@@ -1,11 +1,9 @@
-"""Verification reports, the decorator that scans a grid into one, and the exit-code errors."""
+"""Verification reports, the one lower-bound refusal, and the exit-code errors."""
 
 from __future__ import annotations
 
-import functools
-import inspect
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Optional
 
 
 class UsageError(ValueError):
@@ -52,38 +50,3 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict[str, Any]:
         return asdict(self)
-
-
-def verifier(identity: str):
-    """Turn a generator of ``(params, lhs, rhs)`` cells, in lexicographic
-    parameter order, into a verifier that returns a report.
-
-    The generator gets the defaults of its signature and ``x_values`` as a
-    sorted list; the report's grid is those arguments, less ``triangle``.
-    The first cell whose sides differ is the counterexample.  A grid with no
-    cell raises :class:`UsageError`, so a pass means that cells were checked.
-    """
-
-    def decorate(cells: Callable[..., Iterable[tuple[dict[str, Any], object, object]]]):
-        signature = inspect.signature(cells)
-
-        @functools.wraps(cells)
-        def run(*args: Any, **kwargs: Any) -> VerificationReport:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            if "x_values" in bound.arguments:
-                bound.arguments["x_values"] = sorted(bound.arguments["x_values"])
-            grid = {key: value for key, value in bound.arguments.items() if key != "triangle"}
-            count = 0
-            for params, lhs, rhs in cells(*bound.args, **bound.kwargs):
-                count += 1
-                if lhs != rhs:
-                    counterexample = {"params": params, "lhs": str(lhs), "rhs": str(rhs)}
-                    return VerificationReport(identity, grid, count, "fail", counterexample)
-            if not count:
-                raise UsageError(f"{identity}: the grid {grid} has no cells to check")
-            return VerificationReport(identity, grid, count, "pass")
-
-        return run
-
-    return decorate

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import functools
 import inspect
+import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, factorial
 from operator import add, mul
@@ -45,43 +47,52 @@ from convfib.identities import (
     verify_thm5,
     verify_thm6,
     verify_thm7,
+    verifier,
 )
 from convfib.poly import Poly
-from convfib.report import UsageError, verifier
+from convfib.report import CrossCheckFailure, UsageError
 from convfib.series import Series
 from test_convolved import cold_genfun, count_exp
 from test_golden_reports import perturbed_exp
 
 
-@verifier("thm6")
-def thm6_reference(n_max: int = 10, order: int = 30, triangle: Optional[CoeffTriangle] = None):
-    """thm6 on Series over Q[x]: the N-th t-derivative of the kept F against
-    the bracket, built from series powers over Q, times F / (1-t-t^2)^N.
-    verify_thm6 must give the same reports."""
-    if order < n_max:
-        raise TruncationTooShort(f"need order >= {n_max}, got {order}")
-    if triangle is None:
-        triangle = CoeffTriangle.from_recurrence(n_max)
-    gen = conv_fib_poly_genfun(order)
-    base = base_series(order).lift()
-    rising = [[int(c) for c in rising_factorial_poly(k).coefficients] for k in range(n_max + 1)]
-    two_t = Series.from_polynomial((1, 2), order)
-    lhs = quotient = gen
-    for n in range(n_max + 1):
-        m = order - n
-        if n:
-            lhs = lhs.derivative()
-            quotient = quotient.truncate(m) / base
-        bracket = [[0] * (n + 1) for _ in range(m + 1)]  # t^j -> coefficients in x
-        for i, a in enumerate(triangle.row(n)):
-            if a:
-                power = two_t.inverse() if n - 2 * i < 0 else two_t ** (n - 2 * i)
-                powers = [int(c) for c in (power * base_series(order) ** i).coefficients]
-                for row, c in zip(bracket, powers):
-                    row[: n - i + 1] = map(add, row, [a * c * r for r in rising[n - i]])
-        rhs = Series([Poly(row) for row in bracket]) * quotient
-        k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
-        yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
+def series_form_thm6():
+    """The Series-form reference for thm6, a verifier of the identity thm6."""
+
+    @verifier
+    def verify_thm6(n_max: int = 10, order: int = 30, triangle: Optional[CoeffTriangle] = None):
+        """thm6 on Series over Q[x]: the N-th t-derivative of the kept F against
+        the bracket, built from series powers over Q, times F / (1-t-t^2)^N.
+        identities.verify_thm6 must give the same reports."""
+        if order < n_max:
+            raise TruncationTooShort(f"need order >= {n_max}, got {order}")
+        if triangle is None:
+            triangle = CoeffTriangle.from_recurrence(n_max)
+        gen = conv_fib_poly_genfun(order)
+        base = base_series(order).lift()
+        rising = [[int(c) for c in rising_factorial_poly(k).coefficients] for k in range(n_max + 1)]
+        two_t = Series.from_polynomial((1, 2), order)
+        lhs = quotient = gen
+        for n in range(n_max + 1):
+            m = order - n
+            if n:
+                lhs = lhs.derivative()
+                quotient = quotient.truncate(m) / base
+            bracket = [[0] * (n + 1) for _ in range(m + 1)]  # t^j -> coefficients in x
+            for i, a in enumerate(triangle.row(n)):
+                if a:
+                    power = two_t.inverse() if n - 2 * i < 0 else two_t ** (n - 2 * i)
+                    powers = [int(c) for c in (power * base_series(order) ** i).coefficients]
+                    for row, c in zip(bracket, powers):
+                        row[: n - i + 1] = map(add, row, [a * c * r for r in rising[n - i]])
+            rhs = Series([Poly(row) for row in bracket]) * quotient
+            k = next((k for k in range(m + 1) if lhs.coefficient(k) != rhs.coefficient(k)), 0)
+            yield {"N": n, "t_power": k}, lhs.coefficient(k), rhs.coefficient(k)
+
+    return verify_thm6
+
+
+thm6_reference = series_form_thm6()
 
 
 class TestGridsPass:
@@ -197,11 +208,12 @@ class TestThm3:
 
 
 class TestHoistedFactors:
-    """Factors read once per row or grid still come through module globals,
-    ``conv_fib`` and, for the weights of prop1, thm3 and cor2, the
-    falling-factorial row ``conv_fib_row_by_recurrence``, and cells are
-    scanned in the same order: a value off by one at one point fails at the
-    first cell that reads it."""
+    """Factors read once per row or grid still come through module globals:
+    ``conv_fib``, the falling-factorial walk ``_falling_rows`` for the weights
+    of prop1 and thm3, and the falling-factorial row
+    ``conv_fib_row_by_recurrence`` for cor2's.  Cells are scanned in the same
+    order, so a value off by one at one point fails at the first cell that
+    reads it."""
 
     @staticmethod
     def wrong_at(monkeypatch, point):
@@ -218,10 +230,18 @@ class TestHoistedFactors:
 
         monkeypatch.setattr(identities, "conv_fib_row_by_recurrence", wrong)
 
+    @staticmethod
+    def falling_walk_wrong_at(monkeypatch, point):
+        def wrong(n_max):
+            for r, row in enumerate(convolved._falling_rows(n_max), 1):
+                yield [p + ((n, r) == point) for n, p in enumerate(row)]
+
+        monkeypatch.setattr(identities, "_falling_rows", wrong)
+
     def test_prop1_weight_off_by_one(self, monkeypatch):
         # p_3(1) is the l = 3 weight of every n = 3 cell; there p_0(x-1) = 1,
         # so at x = -3 the sum is p_3(-3) + 1 = 31 against p_3(-3) = 30
-        self.falling_row_wrong_at(monkeypatch, (3, 1))
+        self.falling_walk_wrong_at(monkeypatch, (3, 1))
         report = verify_prop1()
         assert report.counterexample == {"params": {"n": 3, "x": -3}, "lhs": "30", "rhs": "31"}
         assert report.cells == 3 * 12 + 1
@@ -231,7 +251,7 @@ class TestHoistedFactors:
         # n <= 1 cell reads it.  At x = -2, with p_0..p_2(-3) = 1, -3, 0:
         # rhs = p_2(-3) + 2 p_1(1) p_1(-3) + 5 p_0(-3) = 0 - 6 + 5 = -1,
         # against p_2(-2) = 4 - 6 = -2
-        self.falling_row_wrong_at(monkeypatch, (2, 1))
+        self.falling_walk_wrong_at(monkeypatch, (2, 1))
         report = verify_thm3()
         assert report.counterexample == {
             "params": {"n": 2, "r": 1, "x": -2}, "lhs": "-2", "rhs": "-1"
@@ -288,29 +308,83 @@ class TestHoistedFactors:
         assert verify_cor2(r_max=1).passed
 
 
-def conv_fib_on_base(a: int, b: int):
-    """p_n(r) for the base 1 - a t - b t^2, by its three-term step
-    p_{m+1} = a(m+r) p_m + b m(m-1+2r) p_{m-1}, p_0 = 1, p_1 = a r;
-    (a, b) = (1, 1) is conv_fib's own step."""
-    rows: dict[int, list[int]] = {}
+def step_on_base(a: int, b: int):
+    """``_extend_holonomic`` for the base 1 - a t - b t^2, by its three-term
+    step p_{m+1} = a(m+r) p_m + b m(m-1+2r) p_{m-1}; (a, b) = (1, 1) is
+    conv_fib's own step."""
 
-    def on_base(n: int, r: int) -> int:
-        row = rows.setdefault(r, [1, a * r])
+    def extend(row: list[int], r: int, n: int) -> list[int]:
         for m in range(len(row) - 1, n):
             row.append(a * (m + r) * row[m] + b * m * (m - 1 + 2 * r) * row[m - 1])
-        return row[n]
+        return row
+
+    return extend
+
+
+def conv_fib_on_base(a: int, b: int):
+    """p_n(r) for the base 1 - a t - b t^2, by :func:`step_on_base` from
+    p_0 = 1, p_1 = a r."""
+    rows: dict[int, list[int]] = {}
+    extend = step_on_base(a, b)
+
+    def on_base(n: int, r: int) -> int:
+        return extend(rows.setdefault(r, [1, a * r]), r, n)[n]
 
     return on_base
+
+
+def rebind_everywhere(monkeypatch, original, replacement) -> None:
+    """Rebind every ``convfib`` module global that is ``original``, as the
+    benchmark's tracer does, so no module keeps reading the original."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "convfib" or module_name.startswith("convfib."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
 
 
 # identities that read no value of conv_fib, so a wrong base cannot fail them
 READ_NO_VALUES = ("genfun", "thm6")
 
+# A foundation mutant: the global of convolved that it replaces, its builder
+# from the original, the identities that fail with it at their default grids,
+# and whether bench refuses to time.
+HOLONOMIC_FAILS = ("prop1", "cor2", "thm3", "cor4", "thm5", "thm7", "cor8", "cor9", "holo")
+BASE_FAILS = ("genfun", "thm6", "cor8", "holo")
+FIB_FAILS = ("genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "cor9")
+FOUNDATION_MUTANTS = {
+    "holonomic-pell": ("_extend_holonomic", lambda _: step_on_base(2, 1), HOLONOMIC_FAILS, True),
+    "holonomic-jacobsthal": (
+        "_extend_holonomic", lambda _: step_on_base(1, 2), HOLONOMIC_FAILS, True
+    ),
+    "base-pell": (
+        "base_series",
+        lambda _: lambda order: Series.from_polynomial((1, -2, -1), order),
+        BASE_FAILS,
+        True,
+    ),
+    "base-jacobsthal": (
+        "base_series",
+        lambda _: lambda order: Series.from_polynomial((1, -1, -2), order),
+        BASE_FAILS,
+        True,
+    ),
+    "fib-next": ("fib", lambda fib: lambda n: fib(n + 1), FIB_FAILS, True),
+    "fib-previous": ("fib", lambda fib: lambda n: fib(n - 1), FIB_FAILS, True),
+    "product-row-times-2^i": (
+        "_product_row",
+        lambda row: lambda n: tuple(a << i for i, a in enumerate(row(n))),
+        ("cor8",),
+        False,  # bench has no product-row builder
+    ),
+}
+
 
 class TestWrongBase:
     """Every value identity pits conv_fib against an algorithm of its own:
     with conv_fib built on the Pell or Jacobsthal base instead, each of them
-    fails at its default grid."""
+    fails at its default grid.  Each foundation mutant, rebound wherever the
+    package holds it, fails exactly its own identities."""
 
     def test_the_fibonacci_base_is_conv_fib(self):
         on_base = conv_fib_on_base(1, 1)
@@ -321,6 +395,23 @@ class TestWrongBase:
     def test_every_value_identity_fails(self, monkeypatch, name, a, b):
         monkeypatch.setattr(identities, "conv_fib", conv_fib_on_base(a, b))
         assert run_identity(name).passed == (name in READ_NO_VALUES)
+
+    @pytest.mark.parametrize(
+        "name, mutant, failing, bench_refuses",
+        FOUNDATION_MUTANTS.values(),
+        ids=FOUNDATION_MUTANTS,
+    )
+    def test_each_foundation_mutant_fails_its_identities(
+        self, monkeypatch, name, mutant, failing, bench_refuses
+    ):
+        # no row or expansion built before the mutant is read, or kept after it
+        with cold_genfun(), patch.dict(convolved._rows, clear=True):
+            original = getattr(convolved, name)
+            rebind_everywhere(monkeypatch, original, mutant(original))
+            assert tuple(n for n in IDENTITY_NAMES if not run_identity(n).passed) == failing
+            with pytest.raises(CrossCheckFailure) if bench_refuses else nullcontext():
+                bench.run_bench([5, 8], depth=2, triangle_max=8, min_seconds=0, repeats=1)
+            monkeypatch.undo()
 
 
 class TestSharedRowCode:
@@ -442,6 +533,10 @@ class TestWorkDoneOnce:
     def test_each_value_row_is_read_once(self, monkeypatch, name, bound):
         verify = getattr(identities, f"verify_{name}")
         assert self.count_calls(monkeypatch, "conv_fib", verify) <= bound
+
+    def test_thm3_walks_the_falling_rows_once(self, monkeypatch):
+        # rows 2 .. r_max = 6, one step per value n <= 40 each, and no row past r_max
+        assert self.count_calls(monkeypatch, "_falling_step", verify_thm3, (convolved,)) == 5 * 41
 
     def test_cor4_reads_each_fibonacci_number_once(self, monkeypatch):
         # F_0 .. F_60, one list for the whole grid, however many steps read it
@@ -918,6 +1013,26 @@ class TestRunner:
             with pytest.raises(LookupError):
                 run_identity(name)
         assert [f.__module__ for f in resolved] == ["convfib.identities"] * len(IDENTITY_NAMES)
+
+    def test_a_verifier_reports_its_name_less_the_prefix(self):
+        @verifier
+        def verify_demo(n_max: int = 2):
+            for n in range(n_max + 1):
+                yield {"n": n}, n, n
+
+        report = verify_demo()
+        assert (report.identity, report.grid, report.cells) == ("demo", {"n_max": 2}, 3)
+        assert report.passed
+
+    def test_identity_names_are_the_verifiers_in_the_order_defined(self):
+        lines = [
+            inspect.unwrap(getattr(identities, f"verify_{name}")).__code__.co_firstlineno
+            for name in IDENTITY_NAMES
+        ]
+        assert lines == sorted(lines)
+        assert IDENTITY_NAMES == (
+            "genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "thm6", "thm7", "cor8", "cor9", "holo"
+        )
 
     def test_genfun_is_one_object_under_each_name(self):
         """``verify_genfun`` is the package's ``fib_genfun_check``, so a tracer
