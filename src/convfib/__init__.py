@@ -10,7 +10,6 @@ from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
     RisingFactorialPoly,
-    TruncationTooShort,
     base_series,
     conv_fib,
     conv_fib_by_nested_sum,
@@ -32,6 +31,7 @@ from convfib.identities import (
     verify_cor4,
     verify_cor8,
     verify_cor9,
+    verify_genfun,
     verify_holo,
     verify_prop1,
     verify_thm3,
@@ -54,7 +54,6 @@ __all__ = [
     "Poly",
     "RisingFactorialPoly",
     "Series",
-    "TruncationTooShort",
     "UsageError",
     "VerificationReport",
     "base_series",
@@ -76,6 +75,7 @@ __all__ = [
     "verify_cor4",
     "verify_cor8",
     "verify_cor9",
+    "verify_genfun",
     "verify_holo",
     "verify_prop1",
     "verify_thm3",

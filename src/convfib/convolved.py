@@ -42,12 +42,8 @@ from typing import Iterator, Sequence
 
 from convfib.fibonacci import fib
 from convfib.poly import Poly
-from convfib.report import UsageError, at_least
+from convfib.report import at_least
 from convfib.series import Series
-
-
-class TruncationTooShort(UsageError):
-    """A series was requested at an order too small to reach the target."""
 
 
 class IndexOutOfTriangle(IndexError):
@@ -413,9 +409,9 @@ def conv_fib_poly_genfun(order: int) -> Series:
 def conv_fib_poly_oracle(n: int, order: int) -> Poly:
     """p_N(x) built symbolically, with no triangle involved: n! times the
     t^n coefficient of :func:`conv_fib_poly_genfun` at this order, read
-    from the one expansion it keeps.  Requires order >= n.
+    from the one expansion it keeps.  An order below n is refused
+    through :func:`~convfib.report.at_least`.
     """
     at_least("n", n, 0)
-    if order < n:
-        raise TruncationTooShort(f"need order >= {n}, got {order}")
+    at_least("order", order, n)
     return conv_fib_poly_genfun(order).coefficient(n) * factorial(n)

@@ -35,7 +35,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from convfib.convolved import (
     CoeffTriangle,
-    TruncationTooShort,
     _falling_rows,
     _falling_step,
     _nested_sum,
@@ -295,10 +294,10 @@ def verify_thm6(
     polynomial in x is multiplied by another.  A mismatch is reported at
     its lowest power k of t, as the t^k coefficient of F^(N),
     (k+N)! [t^(k+N)] F / k!, and that less the difference of the products
-    there, the one entry that is unpacked.
+    there, the one entry that is unpacked.  An order below n_max is
+    refused through :func:`~convfib.report.at_least`.
     """
-    if order < n_max:
-        raise TruncationTooShort(f"need order >= {n_max}, got {order}")
+    at_least("order", order, n_max)
     if triangle is None:
         triangle = CoeffTriangle.from_recurrence(n_max)
 
@@ -379,8 +378,8 @@ def verify_cor8(
     keeps, read at order n_max, and its value at every x in the grid must
     equal p_N(x).  Without a triangle, row N is the one
     :func:`~convfib.convolved.conv_fib_poly` reads in product form.
+    No function reads a negative n_max, so it leaves a grid with no cells.
     """
-    at_least("order", n_max, 0)  # n_max is the order of the expansion the oracle reads
     rows = _Rows(n_max)
     for n in range(n_max + 1):
         poly = conv_fib_poly(n, triangle)

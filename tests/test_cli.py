@@ -383,8 +383,28 @@ REFUSALS = [
     ),
     ("verify genfun --order 10 --jobs 0", 2, "--jobs must be >= 1, got 0"),
     ("verify cor9 --N-max -1", 2, "n_max must be >= 0, got -1"),
-    ("verify thm6 --N-max 10 --order 5", 2, "need order >= 10, got 5"),
+    ("verify thm6 --N-max 10 --order 5", 2, "order must be >= 10, got 5"),
     ("verify genfun --order 1", 2, "order must be >= 2, got 1"),
+    ("verify genfun --order -1", 2, "order must be >= 2, got -1"),
+    # each identity's negative bound: refused by the first function that
+    # reads it, or, where none does, by its grid having no cells
+    ("verify prop1 --n-max -1", 2, "n_max must be >= 0, got -1"),
+    ("verify cor2 --n-max -1", 2, "n_max must be >= 0, got -1"),
+    ("verify thm3 --n-max -1", 2, "n_max must be >= 0, got -1"),
+    ("verify holo --n-max -1", 2, "n_max must be >= 0, got -1"),
+    ("verify thm6 --N-max -1", 2, "n_max must be >= 0, got -1"),
+    ("verify thm7 --N-max -1", 2, "n_max must be >= 0, got -1"),
+    ("verify cor4 --n-max -1", 2, "cor4: the grid {'n_max': -1, 'r_max': 6} has no cells to check"),
+    ("verify thm5 --n-max -1", 2, "thm5: the grid {'n_max': -1, 'r_max': 4} has no cells to check"),
+    ("verify cor2 --r-max 0", 2, "cor2: the grid {'n_max': 20, 'r_max': 0} has no cells to check"),
+    ("verify cor4 --r-max 0", 2, "cor4: the grid {'n_max': 60, 'r_max': 0} has no cells to check"),
+    ("verify thm5 --r-max 0", 2, "thm5: the grid {'n_max': 25, 'r_max': 0} has no cells to check"),
+    ("verify holo --r-max -1", 2, "holo: the grid {'n_max': 40, 'r_max': -1} has no cells to check"),
+    (
+        "verify cor8 --N-max -1", 2,
+        "cor8: the grid {'n_max': -1, 'x_values': "
+        "[-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]} has no cells to check",
+    ),
     (
         "verify genfun --order 10 --out {missing}", 2,
         "cannot write --out: [Errno 2] No such file or directory: '{missing}'",
@@ -484,11 +504,13 @@ class TestParser:
 
 # Every layer boundary that the benchmark's tracer (perfbench/tracing.py)
 # wraps must exist: install() fails on a missing name.  It patches classes
-# process-wide, so it runs in a child interpreter.
+# process-wide, so it runs in a child interpreter.  "idle" lists the
+# boundaries that a following ``verify all`` does not call.
 TRACED_RUN = """
 import contextlib, io, json, sys
+from collections import Counter
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
-from tracing import Tracer
+from tracing import BOUNDARIES, Tracer
 from convfib import bench, cli, fibonacci, identities
 from convfib.fibonacci import fib
 tracer = Tracer()
@@ -496,7 +518,10 @@ tracer.install()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["verify", "thm6", "--N-max", "2", "--order", "6"]),
              cli.main(["verify", "genfun", "--order", "10"])]
-print(json.dumps({"codes": codes, "calls": tracer.calls}))
+    calls = Counter(tracer.calls)
+    codes.append(cli.main(["verify", "all"]))
+idle = [name for name in BOUNDARIES if not (tracer.calls - calls)[name]]
+print(json.dumps({"codes": codes, "calls": calls, "idle": idle}))
 """
 
 
@@ -507,10 +532,13 @@ def test_traced_boundaries_exist():
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     assert result["calls"]["identities.thm6"] == 1  # through run_identity's module global
     # the tracer finds genfun as fib_genfun_check; run_identity calls it as verify_genfun
     assert result["calls"]["identities.genfun"] == 1
+    # ROADMAP item 1 empties this list: a benchmark boundary that no workload
+    # calls reads as zero in every run
+    assert result["idle"] == ["convolved.rising_factorial_poly", "poly.add"]
 
 
 # A command's own modules load when it runs, not when the CLI is imported.

@@ -21,7 +21,6 @@ from convfib import bench, cli, convolved, series
 from convfib.convolved import (
     CoeffTriangle,
     IndexOutOfTriangle,
-    TruncationTooShort,
     base_series,
     conv_fib,
     conv_fib_by_nested_sum,
@@ -604,7 +603,7 @@ class TestPolynomialOracle:
             assert warm == [conv_fib_poly_oracle(n, n) for n in range(13)]
 
     def test_short_order_rejected(self):
-        with pytest.raises(TruncationTooShort):
+        with pytest.raises(UsageError, match=r"^order must be >= 5, got 4$"):
             conv_fib_poly_oracle(5, 4)
 
 
@@ -705,8 +704,13 @@ class TestSharedExpansion:
                 conv_fib_poly_genfun(order)
             with pytest.raises(UsageError, match=r"^order must be >= 0, got -1$"):
                 conv_fib_poly_genfun(-1)
-            with pytest.raises(UsageError, match=r"^order must be >= 0, got -1$"):
+            # no function reads cor8's negative bound, so its grid has no cells
+            with pytest.raises(UsageError) as caught:
                 verify_cor8(n_max=-1)
+            assert str(caught.value) == (
+                "cor8: the grid {'n_max': -1, 'x_values': [-5, -4, -3, -2, -1, 0, 1, 2, 3, 4, 5, "
+                "6, 7, 8, 9, 10]} has no cells to check"
+            )
 
     def test_parallel_orders_read_as_cold(self, monkeypatch):
         """Four threads ask at once for orders that rise and fall from no kept

@@ -21,7 +21,6 @@ import convfib
 from convfib import bench, convolved, identities, poly, series
 from convfib.convolved import (
     CoeffTriangle,
-    TruncationTooShort,
     base_series,
     conv_fib,
     conv_fib_poly,
@@ -50,7 +49,7 @@ from convfib.identities import (
     verifier,
 )
 from convfib.poly import Poly
-from convfib.report import CrossCheckFailure, UsageError
+from convfib.report import CrossCheckFailure, UsageError, at_least
 from convfib.series import Series
 from test_convolved import cold_genfun, count_exp
 from test_golden_reports import perturbed_exp
@@ -64,8 +63,7 @@ def series_form_thm6():
         """thm6 on Series over Q[x]: the N-th t-derivative of the kept F against
         the bracket, built from series powers over Q, times F / (1-t-t^2)^N.
         identities.verify_thm6 must give the same reports."""
-        if order < n_max:
-            raise TruncationTooShort(f"need order >= {n_max}, got {order}")
+        at_least("order", order, n_max)
         if triangle is None:
             triangle = CoeffTriangle.from_recurrence(n_max)
         gen = conv_fib_poly_genfun(order)
@@ -1030,6 +1028,9 @@ class TestRunner:
             for name in IDENTITY_NAMES
         ]
         assert lines == sorted(lines)
+        # the package exports each verifier under the same name
+        for name in IDENTITY_NAMES:
+            assert getattr(convfib, f"verify_{name}") is getattr(identities, f"verify_{name}")
         assert IDENTITY_NAMES == (
             "genfun", "prop1", "cor2", "thm3", "cor4", "thm5", "thm6", "thm7", "cor8", "cor9", "holo"
         )
@@ -1062,7 +1063,7 @@ class TestRunner:
         assert report.grid == {"n_max": 5}
 
     def test_thm6_short_order_raises(self):
-        with pytest.raises(TruncationTooShort):
+        with pytest.raises(UsageError, match=r"^order must be >= 10, got 5$"):
             verify_thm6(10, 5)
 
     @pytest.mark.parametrize("name", IDENTITY_NAMES)
